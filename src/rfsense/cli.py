@@ -14,6 +14,7 @@ body), then by explicit flags.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import asdict, replace
@@ -135,12 +136,12 @@ def _write_manifest(out: Path, command: str, seed: int, config_used: dict,
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else
-                              repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write one CSV table: LF line ends, floats by repr, None as ""."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def _collect_traces(paths: list[str]) -> list[Path]:
@@ -275,11 +276,13 @@ def _cmd_heartrate(args, config: dict) -> int:
         except ValueError as e:
             raise UsageError(f"bad --window: {e}")
     trace = load_trace(args.trace)
+    cfg = replace(cfg, sample_rate_hz=trace.metadata.sample_rate_hz)
     estimates = heart.stream_heart_rate(trace, cfg)
 
     out = _out_dir(args)
     est_path = out / "estimates.csv"
-    heart.save_estimates(est_path, estimates)
+    _write_rows(est_path, ["t_s", "bpm", "status", "peak_power"],
+                [[e.time_s, e.bpm, e.status, e.peak_power] for e in estimates])
     outputs = [est_path]
 
     usable = [e for e in estimates if e.status == heart.STATUS_ESTIMATE]
@@ -312,18 +315,16 @@ def _read_gesture_manifest(corpus_dir: Path) -> list[tuple[Path, str]]:
     manifest = corpus_dir / "manifest.csv"
     if not manifest.exists():
         raise UsageError(f"{corpus_dir} has no manifest.csv")
-    lines = manifest.read_text().splitlines()
-    if not lines or lines[0].split(",")[:2] != ["file", "label"]:
+    with open(manifest, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows or rows[0][:2] != ["file", "label"]:
         raise UsageError(f"{manifest} must start with a file,label header")
     entries = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        file_name, label = parts[0], parts[1]
+    for row in rows[1:]:
+        label = row[1] if len(row) > 1 else ""
         if label not in GESTURE_LABELS:
             raise UsageError(f"{manifest}: unknown label {label!r}")
-        entries.append((corpus_dir / file_name, label))
+        entries.append((corpus_dir / row[0], label))
     if not entries:
         raise UsageError(f"{manifest} lists no traces")
     return entries

@@ -9,7 +9,7 @@ path in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import sosfilt
@@ -105,7 +105,8 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
     Non-finite samples follow np.median's semantics: a NaN sample passes
     through unchanged, and a window that holds a NaN or whose median is
     +-inf replaces nothing. An infinite sample in a window with a finite
-    median and MAD is an outlier like any other and is replaced.
+    median and MAD is an outlier like any other and is replaced. Only bare
+    arrays reach these cases: RssTrace rejects non-finite samples.
     """
     x = np.asarray(x, dtype=np.float64)
     k = cfg.half_window
@@ -163,19 +164,13 @@ STABILITY_MARGIN = 1e-9
 
 @dataclass
 class IirFilter:
-    """Second-order-section cascade with per-section state.
+    """Second-order-section cascade.
 
-    sos rows are (b0, b1, b2, a1, a2) with a0 normalized to 1. `state` holds
-    the two direct-form-II-transposed delay values per section; an instance
-    is therefore confined to one stream at a time.
+    sos rows are (b0, b1, b2, a1, a2) with a0 normalized to 1; every section
+    must be stable.
     """
 
     sos: np.ndarray
-    kind: str = ""
-    order: int = 0
-    cutoff_hz: tuple[float, ...] = ()
-    sample_rate_hz: float = 0.0
-    state: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.sos = np.asarray(self.sos, dtype=np.float64)
@@ -187,25 +182,10 @@ class IirFilter:
             poles = np.roots([1.0, a1, a2])
             if np.any(np.abs(poles) >= 1.0 - STABILITY_MARGIN):
                 raise ValueError(f"unstable section: pole magnitudes {np.abs(poles)}")
-        if self.state is None:
-            self.state = np.zeros((len(self.sos), 2))
-
-    @property
-    def n_sections(self) -> int:
-        return len(self.sos)
-
-    def reset(self) -> None:
-        self.state[:] = 0.0
-
-    def process(self, chunk) -> np.ndarray:
-        """Streaming application; carries state across calls."""
-        y, self.state = sosfilt(self.sos, np.asarray(chunk, dtype=np.float64),
-                                zi=self.state)
-        return y
 
 
 def filter_forward(filt: IirFilter, x) -> np.ndarray:
-    """Causal cascade from zero initial state; does not touch `filt.state`."""
+    """Causal cascade of `filt` over x, starting at rest."""
     return sosfilt(filt.sos, np.asarray(x, dtype=np.float64))
 
 
@@ -283,8 +263,7 @@ def butterworth_lowpass(order: int, cutoff_hz: float, fs: float) -> IirFilter:
     sos = _sos_from_pairs(pole_pairs, zero_pairs, 1.0)
     gain = 1.0 / abs(sos_response(sos, [0.0], fs)[0])
     sos[0, :3] *= gain
-    return IirFilter(sos, kind="lowpass", order=order, cutoff_hz=(cutoff_hz,),
-                     sample_rate_hz=fs)
+    return IirFilter(sos)
 
 
 def butterworth_bandpass(order: int, low_hz: float, high_hz: float, fs: float) -> IirFilter:
@@ -315,8 +294,7 @@ def butterworth_bandpass(order: int, low_hz: float, high_hz: float, fs: float) -
     f_center = fs / np.pi * np.arctan(np.sqrt(w0sq) / (2.0 * fs))
     gain = 1.0 / abs(sos_response(sos, [f_center], fs)[0])
     sos[0, :3] *= gain
-    return IirFilter(sos, kind="bandpass", order=order, cutoff_hz=(low_hz, high_hz),
-                     sample_rate_hz=fs)
+    return IirFilter(sos)
 
 
 def _check_order(order: int) -> None:
@@ -344,9 +322,6 @@ class Psd:
     @property
     def df(self) -> float:
         return float(self.frequencies[1] - self.frequencies[0])
-
-    def total_power(self) -> float:
-        return float(np.sum(self.power) * self.df)
 
 
 def next_pow2(n: int) -> int:

@@ -354,15 +354,6 @@ def classify(model: TrainedModel, fv: FeatureVector) -> str:
     return GESTURE_LABELS[idx]
 
 
-def tree_votes(model: TrainedModel, fv: FeatureVector) -> list[str]:
-    """Per-tree labels for one vector (random_forest only)."""
-    if model.kind != "random_forest":
-        raise ValueError("per-tree votes exist only for random_forest models")
-    _check_layout(model, fv)
-    Xz = (fv.values[None, :] - model.feature_mean) / model.feature_scale
-    return [GESTURE_LABELS[v] for v in _clf.forest_votes(model.state, Xz)[0]]
-
-
 @dataclass(frozen=True)
 class EvaluationResult:
     confusion: np.ndarray          # [predicted, actual], columns normalized

@@ -11,13 +11,13 @@ which raises the PSD peak by orders of magnitude.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dsp import (
     HampelConfig,
+    IirFilter,
     butterworth_bandpass,
     filter_forward,
     hampel_filter,
@@ -99,12 +99,14 @@ def _band_psd(filtered: np.ndarray, cfg: HeartRateConfig,
     return f[k], summed
 
 
-def _estimate_filtered(window: np.ndarray, cfg: HeartRateConfig, time_s: float,
-                       second_harmonic: bool) -> HeartRateEstimate:
-    x = window - np.mean(window)
-    bp = butterworth_bandpass(cfg.bandpass_order, cfg.bandpass_low_hz,
-                              cfg.bandpass_high_hz, cfg.sample_rate_hz)
-    filtered = filter_forward(bp, x)
+def _bandpass(cfg: HeartRateConfig) -> IirFilter:
+    return butterworth_bandpass(cfg.bandpass_order, cfg.bandpass_low_hz,
+                                cfg.bandpass_high_hz, cfg.sample_rate_hz)
+
+
+def _estimate_filtered(window: np.ndarray, bp: IirFilter, cfg: HeartRateConfig,
+                       time_s: float, second_harmonic: bool) -> HeartRateEstimate:
+    filtered = filter_forward(bp, window - np.mean(window))
     freqs, summed = _band_psd(filtered, cfg, second_harmonic)
     peak = float(np.max(summed))
     if cfg.psd_threshold is not None and peak >= cfg.psd_threshold:
@@ -114,38 +116,42 @@ def _estimate_filtered(window: np.ndarray, cfg: HeartRateConfig, time_s: float,
 
 
 def estimate_window(window_rss: np.ndarray, cfg: HeartRateConfig = HeartRateConfig(),
-                    time_s: float = 0.0) -> HeartRateEstimate:
-    """One heart-rate estimate from a trailing window of raw RSS."""
+                    time_s: float = 0.0, second_harmonic: bool = True) -> HeartRateEstimate:
+    """One heart-rate estimate from a trailing window of raw RSS.
+
+    With second_harmonic=False the fundamental is scored alone (the baseline).
+    """
     window_rss = np.asarray(window_rss, dtype=np.float64)
     if len(window_rss) < cfg.window_samples:
         return HeartRateEstimate(time_s, None, 0.0, STATUS_INSUFFICIENT)
     w = hampel_filter(window_rss, cfg.hampel)
-    return _estimate_filtered(w, cfg, time_s, second_harmonic=True)
+    return _estimate_filtered(w, _bandpass(cfg), cfg, time_s, second_harmonic)
 
 
 def estimate_window_single_harmonic(window_rss: np.ndarray,
                                     cfg: HeartRateConfig = HeartRateConfig(),
                                     time_s: float = 0.0) -> HeartRateEstimate:
     """Baseline variant scoring the fundamental alone (no harmonic sum)."""
-    window_rss = np.asarray(window_rss, dtype=np.float64)
-    if len(window_rss) < cfg.window_samples:
-        return HeartRateEstimate(time_s, None, 0.0, STATUS_INSUFFICIENT)
-    w = hampel_filter(window_rss, cfg.hampel)
-    return _estimate_filtered(w, cfg, time_s, second_harmonic=False)
+    return estimate_window(window_rss, cfg, time_s, second_harmonic=False)
 
 
 def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
                       second_harmonic: bool = True) -> list[HeartRateEstimate]:
     """Trailing-window estimates every update period, stamped at window end.
 
-    The Hampel filter runs once over the whole trace; per-window results are
-    kept bit-identical to filtering each window in isolation by recomputing
-    the window-edge regions, where the filter's shrunken context differs.
+    The trace must be sampled at cfg.sample_rate_hz. The Hampel filter runs
+    once over the whole trace; per-window results are kept bit-identical to
+    filtering each window in isolation by recomputing the window-edge
+    regions, where the filter's shrunken context differs.
     """
     fs = cfg.sample_rate_hz
+    if trace.metadata.sample_rate_hz != fs:
+        raise ValueError(f"trace is sampled at {trace.metadata.sample_rate_hz!r} Hz "
+                         f"but the heart-rate config expects {fs!r} Hz")
     n = len(trace)
     n_win = cfg.window_samples
     full = hampel_filter(trace.rss_db, cfg.hampel)
+    bp = _bandpass(cfg)
     out = []
     k = 1
     while True:
@@ -158,7 +164,7 @@ def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
             out.append(HeartRateEstimate(t_end, None, 0.0, STATUS_INSUFFICIENT))
         else:
             w = hampel_refresh_edges(trace.rss_db, full, start, end, cfg.hampel)
-            out.append(_estimate_filtered(w, cfg, t_end, second_harmonic))
+            out.append(_estimate_filtered(w, bp, cfg, t_end, second_harmonic))
         k += 1
     return out
 
@@ -179,26 +185,3 @@ def calibrate_threshold(quiet_trace: RssTrace, cfg: HeartRateConfig = HeartRateC
     if not peaks:
         raise ValueError("reference trace too short for a single window")
     return factor * float(np.median(peaks))
-
-
-def save_estimates(path, estimates: list[HeartRateEstimate]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "bpm", "status", "peak_power"])
-        for e in estimates:
-            writer.writerow([repr(e.time_s), "" if e.bpm is None else repr(e.bpm),
-                             e.status, repr(e.peak_power)])
-
-
-def load_estimates(path) -> list[HeartRateEstimate]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t_s", "bpm", "status", "peak_power"]:
-            raise ValueError(f"unexpected estimate header {header!r}")
-        for row in reader:
-            out.append(HeartRateEstimate(
-                float(row[0]), float(row[1]) if row[1] else None,
-                float(row[3]), row[2]))
-    return out

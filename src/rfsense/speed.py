@@ -9,7 +9,6 @@ and its depth scales with walking speed through a per-link constant alpha.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -163,25 +162,6 @@ def calibrate_alpha(points: list[tuple[float, float]]) -> tuple[float, float]:
     alpha = float(np.sum(v * f)) / denom
     rmse = float(np.sqrt(np.mean((v - alpha * f) ** 2)))
     return alpha, rmse
-
-
-def save_events(path, events: list[CrossingEvent]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_cross_s", "f_min_av_hz", "v_hat_mps"])
-        for e in events:
-            writer.writerow([repr(e.t_cross_s), repr(e.f_min_av_hz),
-                             repr(e.v_hat_mps)])
-
-
-def load_events(path) -> list[CrossingEvent]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t_cross_s", "f_min_av_hz", "v_hat_mps"]:
-            raise ValueError(f"unexpected events header {header!r}")
-        return [CrossingEvent(float(r[0]), float(r[1]), float(r[2]))
-                for r in reader]
 
 
 def save_alpha(path, link_id: str, alpha: float) -> None:

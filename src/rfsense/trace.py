@@ -1,4 +1,4 @@
-"""RSS trace container, CSV round-trip IO, and sliding-window iteration.
+"""RSS trace container and CSV round-trip IO.
 
 A trace is a 1-D received-signal-strength time series in dB sampled at a
 nominal rate (449 Hz for the hardware this mirrors), together with link
@@ -21,8 +21,7 @@ byte-identical.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,7 +83,11 @@ class TraceMetadata:
 
 @dataclass
 class RssTrace:
-    """Uniformly sampled RSS series with metadata and optional ground truth."""
+    """Uniformly sampled RSS series with metadata and optional ground truth.
+
+    Every RSS sample must be finite: a NaN or an infinite sample raises
+    ValueError here rather than reaching an estimator as a plausible number.
+    """
 
     metadata: TraceMetadata
     timestamps: np.ndarray
@@ -102,6 +105,11 @@ class RssTrace:
             )
         if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
             raise ValueError("timestamps must be strictly increasing")
+        finite = np.isfinite(self.rss_db)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)
+            raise ValueError(f"rss_db holds {len(bad)} non-finite (NaN/+-inf) "
+                             f"sample(s); the first is at index {bad[0]}")
         gt = self.ground_truth
         if gt.hr_bpm is not None:
             gt.hr_bpm = np.asarray(gt.hr_bpm, dtype=np.float64)
@@ -115,17 +123,6 @@ class RssTrace:
     def duration_s(self) -> float:
         """Trace duration at the nominal rate (n / sample_rate)."""
         return len(self.rss_db) / self.metadata.sample_rate_hz
-
-    def slice(self, start: int, stop: int) -> "RssTrace":
-        """Index-based sub-trace; shares metadata, slices per-sample truth."""
-        gt = self.ground_truth
-        sub_gt = replace(gt, hr_bpm=None if gt.hr_bpm is None else gt.hr_bpm[start:stop])
-        return RssTrace(
-            metadata=self.metadata,
-            timestamps=self.timestamps[start:stop],
-            rss_db=self.rss_db[start:stop],
-            ground_truth=sub_gt,
-        )
 
 
 def make_trace(rss_db, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,
@@ -141,28 +138,6 @@ def make_trace(rss_db, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,
         rss_db=rss_db,
         ground_truth=ground_truth or GroundTruth(),
     )
-
-
-def window_iter(trace: RssTrace, window_s: float, hop_s: float) -> Iterator[RssTrace]:
-    """Yield fixed-length windows of `trace` as sub-traces.
-
-    Window and hop are converted to sample counts once from the nominal rate
-    (round(window * rate)), so every yielded window has exactly that many
-    samples; a trailing partial window is dropped. A window longer than the
-    trace yields nothing.
-    """
-    if window_s <= 0 or hop_s <= 0:
-        raise ValueError("window and hop must be positive")
-    fs = trace.metadata.sample_rate_hz
-    win_n = int(round(window_s * fs))
-    hop_n = max(1, int(round(hop_s * fs)))
-    if win_n < 1:
-        raise ValueError(f"window of {window_s} s is shorter than one sample at {fs} Hz")
-    n = len(trace)
-    start = 0
-    while start + win_n <= n:
-        yield trace.slice(start, start + win_n)
-        start += hop_n
 
 
 def _format_float(x: float) -> str:
@@ -251,9 +226,12 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
             series = by_name[col]
             setattr(gt, attr, float(series[0]) if len(series) else None)
 
-    return RssTrace(
-        metadata=TraceMetadata(sample_rate, center_freq, meta_pairs),
-        timestamps=by_name["t_s"],
-        rss_db=by_name["rss_db"],
-        ground_truth=gt,
-    )
+    try:
+        return RssTrace(
+            metadata=TraceMetadata(sample_rate, center_freq, meta_pairs),
+            timestamps=by_name["t_s"],
+            rss_db=by_name["rss_db"],
+            ground_truth=gt,
+        )
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

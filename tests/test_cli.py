@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, config plumbing, reproducibility."""
 
+import csv
 import filecmp
 import json
+import shutil
 import subprocess
 import sys
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 from rfsense import cli
-from rfsense.trace import load_trace
+from rfsense.sim import NoiseModel, VitalSignsProfile, simulate_vitals
+from rfsense.trace import load_trace, save_trace
 
 
 def run(args):
@@ -209,6 +212,31 @@ class TestHeartrate:
         rc = run(["heartrate", str(tmp_path / "ghost.csv"), "-o", str(tmp_path)])
         assert rc == 1
 
+    def test_uses_the_trace_sample_rate(self, tmp_path):
+        trace = simulate_vitals(VitalSignsProfile(heart_rate_bpm=66.0),
+                                NoiseModel(seed=3), 120.0, fs=300.0)
+        save_trace(trace, tmp_path / "v300.csv")
+        rc = run(["heartrate", str(tmp_path / "v300.csv"), "-o", str(tmp_path / "out")])
+        assert rc == 0
+        with open(tmp_path / "out" / "estimates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 120
+        bpm = [float(r["bpm"]) for r in rows if r["status"] == "estimate"]
+        assert abs(np.median(bpm) - 66.0) <= 60.0 * 300.0 / 65536  # one FFT bin
+
+    def test_non_finite_sample_exits_1(self, vitals_dir, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        lines = (vitals_dir / "vitals.csv").read_text().splitlines()
+        fields = lines[1000].split(",")
+        fields[1] = "nan"
+        lines[1000] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        rc = run(["heartrate", str(path), "-o", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "index 998" in err
+        assert "Traceback" not in err
+
 
 class TestGesture:
     def test_train_eval_classify_chain(self, gesture_corpus, tmp_path):
@@ -320,6 +348,59 @@ class TestSpeed:
         rc = run(["speed", "calibrate", str(crossing_files[0]),
                   "--config", str(link_config), "-o", str(tmp_path)])
         assert rc == 2
+
+
+class TestTables:
+    def test_every_table_parses_to_its_header_width(
+            self, vitals_dir, crossing_files, gesture_corpus, link_config, tmp_path):
+        train, _, seg_cfg = gesture_corpus
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        manifest = ["file,label,start_s,end_s"]
+        for src in sorted(train.glob("*_*.csv")):
+            label, k = src.stem.split("_")
+            name = f"{label},{k}.csv"
+            shutil.copy(src, corpus / name)
+            manifest.append(f'"{name}",{label},,')
+        (corpus / "manifest.csv").write_text("\n".join(manifest) + "\n")
+        walks = tmp_path / "walks"
+        walks.mkdir()
+        for i, src in enumerate(crossing_files):
+            shutil.copy(src, walks / f"walk,{i + 1}.csv")
+
+        out = tmp_path / "out"
+        cfg = ["--config", str(link_config)]
+        seg = ["--config", str(seg_cfg)]
+        model = str(out / "model" / "model.json")
+        for args in (
+                ["heartrate", str(vitals_dir / "vitals.csv"), "-o", str(out / "hr")],
+                ["gesture", "train", str(corpus), "--kind", "knn", *seg,
+                 "-o", str(out / "model")],
+                ["gesture", "eval", str(corpus), "--model", model, *seg,
+                 "-o", str(out / "eval")],
+                ["gesture", "classify", "--trace", str(corpus / "punch,0.csv"),
+                 "--model", model, *seg, "-o", str(out / "classify")],
+                ["speed", "calibrate", str(walks), *cfg, "-o", str(out / "cal")],
+                ["speed", "estimate", str(walks / "walk,1.csv"),
+                 str(vitals_dir / "vitals.csv"), *cfg,
+                 "--alpha-file", str(out / "cal" / "alpha.txt"),
+                 "-o", str(out / "est")]):
+            assert run(args) == 0, args
+
+        tables = sorted(out.rglob("*.csv"))
+        assert len(tables) == 10
+        for path in tables:
+            assert b"\r" not in path.read_bytes(), path
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 1, path
+            assert all(len(r) == len(rows[0]) for r in rows), path
+        with open(out / "est" / "events.csv", newline="") as fh:
+            events = list(csv.reader(fh))
+        assert events[1][:2] == ["walk,1.csv", "ok"]
+        assert events[2][:2] == ["vitals.csv", "no_crossing"]
+        with open(out / "eval" / "predictions.csv", newline="") as fh:
+            assert "punch,0.csv" in [r[0] for r in csv.reader(fh)]
 
 
 class TestReproducibility:

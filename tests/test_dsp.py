@@ -192,9 +192,9 @@ class TestButterworth:
         np.testing.assert_allclose(20 * np.log10(h), -10 * np.log10(2), atol=1e-8)
 
     def test_section_count_is_half_the_order(self):
-        assert butterworth_bandpass(4, 0.8, 5.0, 449.0).n_sections == 2
-        assert butterworth_bandpass(8, 0.8, 5.0, 449.0).n_sections == 4
-        assert butterworth_lowpass(6, 90.0, 449.0).n_sections == 3
+        assert len(butterworth_bandpass(4, 0.8, 5.0, 449.0).sos) == 2
+        assert len(butterworth_bandpass(8, 0.8, 5.0, 449.0).sos) == 4
+        assert len(butterworth_lowpass(6, 90.0, 449.0).sos) == 3
 
     def test_unsupported_order_rejected(self):
         for bad in (1, 3, 5, 7, 0, -2):
@@ -221,16 +221,6 @@ class TestButterworth:
     def test_unnormalized_sos_rejected(self):
         with pytest.raises(ValueError):
             IirFilter(np.array([[1.0, 0, 0, 2.0, 0.0, 0.0]]))
-
-    def test_streaming_matches_one_shot(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=4000)
-        filt = butterworth_bandpass(4, 0.8, 5.0, 449.0)
-        whole = filter_forward(filt, x)
-        parts = [filt.process(c) for c in np.split(x, [100, 1000, 1001, 3500])]
-        np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-12)
-        filt.reset()
-        np.testing.assert_array_equal(filt.process(x), whole)
 
     def test_impulse_response_decays(self):
         filt = butterworth_bandpass(4, 0.8, 5.0, 449.0)
@@ -265,14 +255,14 @@ class TestPeriodogram:
         x = rng.normal(0.0, 2.0, 1000)
         psd = periodogram(x, fs=449.0)
         y = (x - x.mean()) * np.hanning(len(x))
-        np.testing.assert_allclose(psd.total_power(), np.mean(y * y), rtol=1e-10)
+        np.testing.assert_allclose(psd.power.sum() * psd.df, np.mean(y * y), rtol=1e-10)
 
     def test_white_noise_level(self):
         rng = np.random.default_rng(6)
         x = rng.normal(0.0, 1.0, 200_000)
         psd = periodogram(x, fs=100.0, nfft=next_pow2(len(x)))
         # Hann window scales the variance by mean(w^2) = 3/8.
-        assert abs(psd.total_power() - 0.375) < 0.05 * 0.375
+        assert abs(psd.power.sum() * psd.df - 0.375) < 0.05 * 0.375
 
     def test_tone_at_bin_center_peaks_there(self):
         fs, n = 449.0, 4096

@@ -24,7 +24,6 @@ from rfsense.gesture import (
     save_model,
     segment,
     train,
-    tree_votes,
 )
 from rfsense.trace import make_trace
 
@@ -222,10 +221,10 @@ class TestClassifiers:
         data = blob_dataset(seed=2, per_class=10)
         model = train(data, "random_forest", seed=3)
         for fv, _ in blob_dataset(seed=4, per_class=2):
-            votes = tree_votes(model, fv)
+            xz = (fv.values[None, :] - model.feature_mean) / model.feature_scale
+            votes = clf.forest_votes(model.state, xz)[0]
             assert len(votes) == 15
-            counts = np.bincount([GESTURE_LABELS.index(v) for v in votes],
-                                 minlength=8)
+            counts = np.bincount(votes, minlength=8)
             assert classify(model, fv) == GESTURE_LABELS[int(np.argmax(counts))]
 
     @pytest.mark.parametrize("kind", ["linear_svm", "random_forest"])

@@ -12,8 +12,6 @@ from rfsense.heart import (
     calibrate_threshold,
     estimate_window,
     estimate_window_single_harmonic,
-    load_estimates,
-    save_estimates,
     stream_heart_rate,
 )
 from rfsense.sim import NoiseModel, QUIET, VitalSignsProfile, simulate_vitals
@@ -195,20 +193,9 @@ class TestStream:
         bin_bpm = 60.0 * FS / CFG.nfft
         assert np.var(bpms) <= bin_bpm ** 2
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        ests = [
-            HeartRateEstimate(20.0, 61.1737060546875, 3.4e-06, "estimate"),
-            HeartRateEstimate(21.0, None, 5.9e-03, "suppressed_motion"),
-            HeartRateEstimate(1.0, None, 0.0, "insufficient_data"),
-        ]
-        path = tmp_path / "est.csv"
-        save_estimates(path, ests)
-        assert load_estimates(path) == ests
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ValueError):
-            load_estimates(path)
+    def test_rejects_trace_at_another_rate(self):
+        tr = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=2), 30.0, fs=300.0)
+        with pytest.raises(ValueError, match=r"300\.0 Hz.*449\.0 Hz"):
+            stream_heart_rate(tr, CFG)
+        ests = stream_heart_rate(tr, HeartRateConfig(sample_rate_hz=300.0))
+        assert len(ests) == 30

@@ -26,9 +26,7 @@ from rfsense.speed import (
     detect_crossing,
     estimate_speed,
     load_alpha,
-    load_events,
     save_alpha,
-    save_events,
 )
 from rfsense.trace import make_trace
 
@@ -260,19 +258,6 @@ class TestThresholdCalibration:
 
 
 class TestSerialization:
-    def test_events_round_trip(self, tmp_path):
-        events = [CrossingEvent(10.0, 0.41, 1.04),
-                  CrossingEvent(31.5, 0.22, 0.56)]
-        path = tmp_path / "events.csv"
-        save_events(path, events)
-        assert load_events(path) == events
-
-    def test_events_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            load_events(path)
-
     def test_alpha_round_trip_multi_link(self, tmp_path):
         path = tmp_path / "alpha.txt"
         save_alpha(path, "hall-1", 0.88)

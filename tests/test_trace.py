@@ -10,7 +10,6 @@ from rfsense.trace import (
     load_trace,
     make_trace,
     save_trace,
-    window_iter,
 )
 
 
@@ -29,47 +28,29 @@ def test_bad_sample_rate():
         TraceMetadata(sample_rate_hz=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_rejected(bad):
+    rss = np.zeros(10)
+    rss[[3, 7]] = bad
+    with pytest.raises(ValueError, match=r"2 non-finite .* index 3"):
+        make_trace(rss)
+
+
+def test_load_names_file_of_non_finite_sample(tmp_path):
+    p = tmp_path / "t.csv"
+    save_trace(make_trace(np.zeros(5)), p)
+    lines = p.read_text().splitlines()
+    lines[4] = lines[4].split(",")[0] + ",nan"   # sample index 2
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_trace(p)
+    assert str(exc.value).startswith(f"{p}: ")
+    assert "1 non-finite" in str(exc.value) and "index 2" in str(exc.value)
+
+
 def test_duration_uses_nominal_rate():
     tr = make_trace(np.zeros(449), sample_rate_hz=449.0)
     assert tr.duration_s == pytest.approx(1.0)
-
-
-class TestWindowIter:
-    def test_count_10s_2s_window_1s_hop(self):
-        # 10 s at 449 Hz, 2 s window, 1 s hop -> starts at 0..8 s: 9 windows
-        tr = make_trace(np.zeros(4490))
-        wins = list(window_iter(tr, 2.0, 1.0))
-        assert len(wins) == 9
-        assert all(len(w) == 898 for w in wins)
-
-    def test_window_equal_to_trace(self):
-        tr = make_trace(np.zeros(898))
-        wins = list(window_iter(tr, 2.0, 1.0))
-        assert len(wins) == 1
-
-    def test_window_longer_than_trace_yields_nothing(self):
-        tr = make_trace(np.zeros(100))
-        assert list(window_iter(tr, 2.0, 1.0)) == []
-
-    def test_hop_prefixes_reconstruct_trace_prefix(self):
-        rng = np.random.default_rng(0)
-        tr = make_trace(rng.normal(size=1000), sample_rate_hz=100.0)
-        wins = list(window_iter(tr, 1.5, 0.5))
-        hop_n = 50
-        rebuilt = np.concatenate([w.rss_db[:hop_n] for w in wins])
-        assert np.array_equal(rebuilt, tr.rss_db[: len(rebuilt)])
-
-    def test_partial_window_dropped(self):
-        tr = make_trace(np.zeros(1000), sample_rate_hz=100.0)
-        wins = list(window_iter(tr, 3.0, 3.0))
-        # starts at 0, 300, 600; 900 + 300 > 1000 dropped
-        assert len(wins) == 3
-
-    def test_gt_series_sliced_with_window(self):
-        gt = GroundTruth(hr_bpm=np.linspace(60, 70, 200))
-        tr = make_trace(np.zeros(200), sample_rate_hz=100.0, ground_truth=gt)
-        wins = list(window_iter(tr, 1.0, 0.5))
-        assert np.array_equal(wins[1].ground_truth.hr_bpm, gt.hr_bpm[50:150])
 
 
 class TestRoundTrip:
