@@ -18,8 +18,9 @@ from scipy.signal import sosfilt
 MAD_SCALE = 1.4826
 
 # Float64 elements per windowed working block (32 MiB); bounds the memory of
-# both the interior and the edge paths of hampel_filter for any window size.
-_HAMPEL_BLOCK = 1 << 22
+# both the interior and the edge paths of hampel_filter for any window size,
+# and of the windows spectrogram transforms at once.
+_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def _left_edge_hampel(x: np.ndarray, cfg: HampelConfig) -> np.ndarray:
     k = cfg.half_window
     nan_count = np.cumsum(np.isnan(x[:2 * k]))
     out = np.empty(k)
-    step = max(1, _HAMPEL_BLOCK // (2 * k))
+    step = max(1, _BLOCK // (2 * k))
     for lo in range(0, k, step):
         m = np.arange(lo, min(lo + step, k)) + k + 1  # window lengths
         inside = np.arange(m[-1]) < m[:, None]
@@ -121,7 +122,7 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
     # of a partition; NaN windows are found by count.
     nan_count = np.concatenate([[0], np.cumsum(np.isnan(x))])
     window_nans = nan_count[win:] - nan_count[:-win]
-    step = max(1, _HAMPEL_BLOCK // win)
+    step = max(1, _BLOCK // win)
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(k, n - k, step):
             hi = min(lo + step, n - k)
@@ -328,6 +329,29 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, (int(n) - 1)).bit_length()
 
 
+def _psd_rows(rows: np.ndarray, fs: float, nfft: int, hann: np.ndarray) -> np.ndarray:
+    """One-sided periodogram power of each row of a 2-D block.
+
+    Each row is mean-removed, multiplied by `hann` and zero-padded to nfft.
+    Every step is row-wise, so a row's power does not depend on the rest of
+    the block.
+    """
+    n = rows.shape[1]
+    y = (rows - rows.mean(axis=1, keepdims=True)) * hann
+    power = np.abs(np.fft.rfft(y, nfft, axis=1)) ** 2
+    # One-sided fold: interior bins carry the conjugate half too.
+    weights = np.full(power.shape[1], 2.0)
+    weights[0] = 1.0
+    if nfft % 2 == 0:
+        weights[-1] = 1.0
+    power *= weights / (n * fs)
+    return power
+
+
+def _frequencies(nfft: int, fs: float) -> np.ndarray:
+    return np.arange(nfft // 2 + 1) * (fs / nfft)
+
+
 def periodogram(x, fs: float, nfft: int | None = None) -> Psd:
     """Hann-windowed, mean-removed, zero-padded one-sided periodogram."""
     x = np.asarray(x, dtype=np.float64)
@@ -338,17 +362,8 @@ def periodogram(x, fs: float, nfft: int | None = None) -> Psd:
         nfft = next_pow2(n)
     if nfft < n:
         raise ValueError(f"nfft={nfft} shorter than the signal ({n})")
-    y = (x - x.mean()) * np.hanning(n)
-    spec = np.fft.rfft(y, nfft)
-    power = np.abs(spec) ** 2
-    # One-sided fold: interior bins carry the conjugate half too.
-    weights = np.full(len(power), 2.0)
-    weights[0] = 1.0
-    if nfft % 2 == 0:
-        weights[-1] = 1.0
-    power *= weights / (n * fs)
-    freqs = np.arange(len(power)) * (fs / nfft)
-    return Psd(frequencies=freqs, power=power)
+    power = _psd_rows(x[None, :], fs, nfft, np.hanning(n))[0]
+    return Psd(frequencies=_frequencies(nfft, fs), power=power)
 
 
 @dataclass(frozen=True)
@@ -367,6 +382,11 @@ class Spectrogram:
 
 def spectrogram(x, fs: float, window_s: float, hop_s: float,
                 nfft: int | None = None) -> Spectrogram:
+    """Column j is periodogram(x[s_j : s_j + win], fs, nfft).power.
+
+    Windows are transformed in blocks of at most _BLOCK padded samples, so
+    the memory stays bounded for a long series.
+    """
     x = np.asarray(x, dtype=np.float64)
     win_n = int(round(window_s * fs))
     hop_n = max(1, int(round(hop_s * fs)))
@@ -376,15 +396,18 @@ def spectrogram(x, fs: float, window_s: float, hop_s: float,
         raise ValueError("series shorter than one window")
     if nfft is None:
         nfft = next_pow2(win_n)
+    if nfft < win_n:
+        raise ValueError(f"nfft={nfft} shorter than the window ({win_n})")
     starts = np.arange(0, len(x) - win_n + 1, hop_n)
-    cols = []
-    freqs = None
-    for s in starts:
-        psd = periodogram(x[s: s + win_n], fs, nfft)
-        freqs = psd.frequencies
-        cols.append(psd.power)
+    windows = np.lib.stride_tricks.sliding_window_view(x, win_n)
+    hann = np.hanning(win_n)
+    power = np.empty((nfft // 2 + 1, len(starts)))
+    step = max(1, _BLOCK // nfft)
+    for lo in range(0, len(starts), step):
+        block = windows[starts[lo:lo + step]]
+        power[:, lo:lo + len(block)] = _psd_rows(block, fs, nfft, hann).T
     times = (starts + win_n / 2.0) / fs
-    return Spectrogram(times=times, frequencies=freqs, power=np.column_stack(cols))
+    return Spectrogram(times=times, frequencies=_frequencies(nfft, fs), power=power)
 
 
 # ---------------------------------------------------------------------------

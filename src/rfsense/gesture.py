@@ -436,18 +436,33 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
+_MODEL_KEYS = ("kind", "hyperparameters", "layout", "feature_mean",
+               "feature_scale", "state")
+
+
 def load_model(path) -> TrainedModel:
+    """Read a model written by save_model; a malformed file raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a model file holds a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
+        raise ValueError(f"{path}: unsupported model format "
+                         f"{doc.get('format_version')!r}")
+    for key in _MODEL_KEYS:
+        if key not in doc:
+            raise ValueError(f"{path}: model lacks key {key!r}")
     if doc["kind"] not in CLASSIFIER_KINDS:
-        raise ValueError(f"unknown classifier kind {doc['kind']!r}")
+        raise ValueError(f"{path}: unknown classifier kind {doc['kind']!r}")
+    try:
+        state = _state_from_json(doc["kind"], doc["state"])
+    except KeyError as e:
+        raise ValueError(f"{path}: model state lacks key {e}") from None
     return TrainedModel(
         kind=doc["kind"],
         hyperparameters=doc["hyperparameters"],
         layout=tuple(doc["layout"]),
         feature_mean=np.asarray(doc["feature_mean"]),
         feature_scale=np.asarray(doc["feature_scale"]),
-        state=_state_from_json(doc["kind"], doc["state"]),
+        state=state,
     )

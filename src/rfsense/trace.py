@@ -16,10 +16,24 @@ The gesture label, being a string, lives in the header line as
 ``gt_label=<name>``. All floats are written with shortest round-trip repr, so
 ``load_trace(save_trace(t)) == t`` exactly and repeated writes are
 byte-identical.
+
+load_trace raises ValueError, prefixed with the path, for a file it cannot
+trust. Errors tied to one body row name it as ``path:line`` (the first data
+row is line 3):
+
+- a row whose field count differs from the header's, or a token that is not
+  a number;
+- a timestamp step that differs from the nominal period 1 / sample_rate_hz
+  by more than half a period (MAX_STEP_ERROR_PERIODS): every estimator
+  assumes uniform sampling, t[i] = t[0] + i / fs.
+
+A missing or malformed metadata line, unexpected column names, a
+non-positive rate and a NaN or infinite RSS sample are named by path alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -27,6 +41,13 @@ import numpy as np
 
 DEFAULT_SAMPLE_RATE_HZ = 449.0
 DEFAULT_CENTER_FREQ_HZ = 434e6
+
+# A timestamp step may differ from the nominal period 1 / sample_rate_hz by
+# at most this many periods; every estimator assumes t[i] = t[0] + i / fs.
+MAX_STEP_ERROR_PERIODS = 0.5
+
+# File line of the first data row, after the metadata and column-name lines.
+_FIRST_DATA_LINE = 3
 
 # Scalar ground-truth fields and their column names, in file order.
 _GT_SCALAR_COLUMNS = (
@@ -163,25 +184,69 @@ def save_trace(trace: RssTrace, path: str | os.PathLike) -> None:
     for key in sorted(meta.extras):
         pairs.append((key, _header_escape(str(meta.extras[key]))))
 
-    columns: list[tuple[str, np.ndarray]] = [
-        ("t_s", trace.timestamps),
-        ("rss_db", trace.rss_db),
-    ]
-    n = len(trace)
+    names = ["t_s", "rss_db"]
+    series = [trace.timestamps, trace.rss_db]
     if gt.hr_bpm is not None:
-        columns.append(("gt_hr_bpm", gt.hr_bpm))
+        names.append("gt_hr_bpm")
+        series.append(gt.hr_bpm)
+    # Scalar truth is the same on every row: format it once as the row tail.
+    row_end = ""
     for attr, col in _GT_SCALAR_COLUMNS:
         val = getattr(gt, attr)
         if val is not None:
-            columns.append((col, np.full(n, float(val))))
+            names.append(col)
+            row_end += "," + _format_float(val)
+    row_end += "\n"
 
-    lines = ["# " + ",".join(f"{k}={v}" for k, v in pairs)]
-    lines.append(",".join(name for name, _ in columns))
-    cols = [c for _, c in columns]
-    for i in range(n):
-        lines.append(",".join(_format_float(c[i]) for c in cols))
+    # repr of a tolist() float is repr(float(c[i])): the same shortest
+    # round-trip text, formatted a whole column at a time.
+    cols = [map(repr, np.asarray(c, dtype=np.float64).tolist()) for c in series]
+    body = row_end.join(map(",".join, zip(*cols))) + row_end if len(trace) else ""
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("# " + ",".join(f"{k}={v}" for k, v in pairs) + "\n"
+                + ",".join(names) + "\n" + body)
+
+
+def _data_lines(lines: list[str]):
+    """(file line number, text) of each non-empty body line."""
+    for line_no, line in enumerate(lines, start=_FIRST_DATA_LINE):
+        if line:
+            yield line_no, line
+
+
+def _parse_rows(lines: list[str], width: int, path) -> np.ndarray:
+    """Per-token float() parse of the body, naming the first bad line.
+
+    Runs only when np.loadtxt rejects the body. A token that float() accepts
+    and loadtxt does not (such as '1_0') parses here as it always has.
+    """
+    rows = []
+    for line_no, line in _data_lines(lines):
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"{path}:{line_no}: {len(fields)} fields, "
+                             f"the header names {width}")
+        row = []
+        for tok in fields:
+            try:
+                row.append(float(tok))
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: {tok!r} is not a number") from None
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+def _check_uniform(t: np.ndarray, sample_rate: float, lines: list[str], path) -> None:
+    """Raise naming the line of the first step off the nominal period."""
+    period = 1.0 / sample_rate
+    off = ~(np.abs(np.diff(t) - period) <= MAX_STEP_ERROR_PERIODS * period)
+    if off.any():
+        row = int(np.argmax(off)) + 1
+        line_no, _ = next(itertools.islice(_data_lines(lines), row, None))
+        raise ValueError(
+            f"{path}:{line_no}: timestamp {t[row]!r} s follows {t[row - 1]!r} s; "
+            f"sample_rate_hz={sample_rate!r} needs steps of {period!r} s "
+            f"(within {MAX_STEP_ERROR_PERIODS} of a period)")
 
 
 def load_trace(path: str | os.PathLike) -> RssTrace:
@@ -189,7 +254,7 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
     with open(path) as f:
         header = f.readline().rstrip("\n")
         colnames = f.readline().rstrip("\n").split(",")
-        body = f.read()
+        lines = f.read().split("\n")
     if not header.startswith("# "):
         raise ValueError(f"{path}: missing '# key=value' metadata line")
     meta_pairs = {}
@@ -207,11 +272,14 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
 
     if colnames[:2] != ["t_s", "rss_db"]:
         raise ValueError(f"{path}: expected columns t_s,rss_db..., got {colnames}")
-    if body.strip():
-        data = np.array(
-            [[float(tok) for tok in line.split(",")] for line in body.splitlines() if line],
-            dtype=np.float64,
-        )
+    if any(line.strip() for line in lines):
+        # numpy's parser rounds correctly, like float(), so the arrays are
+        # bit-identical to a per-token parse.
+        try:
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                              dtype=np.float64)
+        except ValueError:
+            data = _parse_rows(lines, len(colnames), path)
     else:
         data = np.empty((0, len(colnames)))
     if data.shape[1] != len(colnames):
@@ -227,8 +295,13 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
             setattr(gt, attr, float(series[0]) if len(series) else None)
 
     try:
+        meta = TraceMetadata(sample_rate, center_freq, meta_pairs)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    _check_uniform(by_name["t_s"], sample_rate, lines, path)
+    try:
         return RssTrace(
-            metadata=TraceMetadata(sample_rate, center_freq, meta_pairs),
+            metadata=meta,
             timestamps=by_name["t_s"],
             rss_db=by_name["rss_db"],
             ground_truth=gt,

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from rfsense import cli
+from rfsense import cli, gesture
 from rfsense.sim import NoiseModel, VitalSignsProfile, simulate_vitals
 from rfsense.trace import load_trace, save_trace
 
@@ -237,6 +237,30 @@ class TestHeartrate:
         assert err.startswith(f"error: {path}: ") and "index 998" in err
         assert "Traceback" not in err
 
+    def rewritten(self, vitals_dir, path, edit):
+        lines = (vitals_dir / "vitals.csv").read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_truncated_row_exits_1_naming_the_line(self, vitals_dir, tmp_path, capsys):
+        def truncate(lines):
+            lines[499] = lines[499].rsplit(",", 1)[0]   # file line 500
+        path = self.rewritten(vitals_dir, tmp_path / "cut.csv", truncate)
+        assert run(["heartrate", str(path), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:500: ") and "Traceback" not in err
+
+    def test_timestamp_jump_exits_1_naming_the_line(self, vitals_dir, tmp_path, capsys):
+        def jump(lines):                                  # +3 s from data row 2000
+            for i in range(2002, len(lines)):
+                t, rest = lines[i].split(",", 1)
+                lines[i] = f"{float(t) + 3.0!r},{rest}"
+        path = self.rewritten(vitals_dir, tmp_path / "gap.csv", jump)
+        assert run(["heartrate", str(path), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2003: timestamp ") and "Traceback" not in err
+
 
 class TestGesture:
     def test_train_eval_classify_chain(self, gesture_corpus, tmp_path):
@@ -285,6 +309,21 @@ class TestGesture:
     def test_eval_requires_model(self, gesture_corpus, tmp_path):
         _, test, _ = gesture_corpus
         assert run(["gesture", "eval", str(test), "-o", str(tmp_path)]) == 2
+
+    def test_classify_with_model_missing_a_key_exits_1(self, gesture_corpus, tmp_path,
+                                                        capsys):
+        _, test, seg_cfg = gesture_corpus
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format_version": gesture.MODEL_FORMAT_VERSION, "kind": "knn",
+            "layout": [], "feature_mean": [], "feature_scale": [], "state": {}}))
+        rc = run(["gesture", "classify", "--trace", str(test / "punch_0.csv"),
+                  "--model", str(model), "--config", str(seg_cfg),
+                  "-o", str(tmp_path / "cls")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and "'hyperparameters'" in err
+        assert "Traceback" not in err
 
 
 class TestSpeed:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rfsense import dsp
 from rfsense.dsp import (
     HampelConfig,
     IirFilter,
@@ -319,6 +320,23 @@ class TestSpectrogram:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             spectrogram(np.zeros(50), 100.0, window_s=2.0, hop_s=0.5)
+
+    @pytest.mark.parametrize("block", [None, 1, 3000])
+    @pytest.mark.parametrize("hop_s, nfft", [(0.5, None), (0.01, 512), (3.3, 1024)])
+    def test_bit_identical_to_periodogram_loop(self, monkeypatch, block, hop_s, nfft):
+        # block=1 puts each window in its own block, 3000 holds a few
+        # 256- to 1024-point windows, None is the module's default.
+        if block is not None:
+            monkeypatch.setattr(dsp, "_BLOCK", block)
+        rng = np.random.default_rng(11)
+        fs = 100.0
+        x = rng.normal(-50.0, 3.0, 1234)
+        spec = spectrogram(x, fs, window_s=2.0, hop_s=hop_s, nfft=nfft)
+        win_n, hop_n = 200, max(1, int(round(hop_s * fs)))
+        cols = [periodogram(x[s: s + win_n], fs, nfft)
+                for s in range(0, len(x) - win_n + 1, hop_n)]
+        assert spec.power.tobytes() == np.column_stack([c.power for c in cols]).tobytes()
+        assert spec.frequencies.tobytes() == cols[0].frequencies.tobytes()
 
 
 # ---------------------------------------------------------------------------

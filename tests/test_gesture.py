@@ -5,6 +5,9 @@ gestures) live in the acceptance suite; here every expected value comes from
 a hand-built signal or a hand-built cluster layout.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -308,6 +311,16 @@ class TestPersistence:
         assert loaded.layout == model.layout
         assert [classify(loaded, fv) for fv, _ in probes] == \
                [classify(model, fv) for fv, _ in probes]
+
+    @pytest.mark.parametrize("key", ["kind", "hyperparameters", "layout", "state"])
+    def test_missing_key_names_file_and_key(self, key, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train(blob_dataset(seed=14, per_class=4), "knn"), path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'{key}'"):
+            load_model(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"

@@ -1,8 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfsense.sim import (
+    DEFAULT_TEMPLATES,
+    LinkGeometry,
+    NoiseModel,
+    VitalSignsProfile,
+    WalkPath,
+    simulate_crossing,
+    simulate_gesture,
+    simulate_vitals,
+)
 from rfsense.trace import (
     GroundTruth,
     RssTrace,
@@ -11,6 +23,86 @@ from rfsense.trace import (
     make_trace,
     save_trace,
 )
+
+SCALAR_COLUMNS = (("speed_mps", "gt_speed_mps"), ("cross_t_s", "gt_cross_t_s"),
+                  ("start_s", "gt_start_s"), ("end_s", "gt_end_s"))
+
+
+def reference_save(trace, path):
+    """The row-at-a-time writer: one repr(float(c[i])) per field."""
+    meta, gt = trace.metadata, trace.ground_truth
+    pairs = [("sample_rate_hz", repr(float(meta.sample_rate_hz))),
+             ("center_freq_hz", repr(float(meta.center_freq_hz)))]
+    if gt.label is not None:
+        pairs.append(("gt_label", gt.label))
+    pairs += [(k, str(meta.extras[k])) for k in sorted(meta.extras)]
+    columns = [("t_s", trace.timestamps), ("rss_db", trace.rss_db)]
+    n = len(trace)
+    if gt.hr_bpm is not None:
+        columns.append(("gt_hr_bpm", gt.hr_bpm))
+    for attr, col in SCALAR_COLUMNS:
+        if getattr(gt, attr) is not None:
+            columns.append((col, np.full(n, float(getattr(gt, attr)))))
+    lines = ["# " + ",".join(f"{k}={v}" for k, v in pairs),
+             ",".join(name for name, _ in columns)]
+    cols = [c for _, c in columns]
+    for i in range(n):
+        lines.append(",".join(repr(float(c[i])) for c in cols))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def reference_body(path):
+    """The body parsed one token at a time with float()."""
+    lines = path.read_text().splitlines()[2:]
+    return np.array([[float(tok) for tok in line.split(",")] for line in lines if line],
+                    dtype=np.float64)
+
+
+def loaded_columns(trace, names):
+    """The loaded trace as the file's columns, scalars broadcast."""
+    gt = trace.ground_truth
+    by_name = {"t_s": trace.timestamps, "rss_db": trace.rss_db, "gt_hr_bpm": gt.hr_bpm}
+    by_name.update({col: np.full(len(trace), getattr(gt, attr))
+                    for attr, col in SCALAR_COLUMNS})
+    return np.column_stack([by_name[name] for name in names])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def assert_exact_io(trace, path, ref_path):
+    """save_trace writes the reference bytes and load_trace reads the
+    reference arrays, which are the trace's own, bit for bit."""
+    save_trace(trace, path)
+    reference_save(trace, ref_path)
+    assert path.read_bytes() == ref_path.read_bytes()
+    back = load_trace(path)
+    names = path.read_text().split("\n", 2)[1].split(",")
+    assert bits(loaded_columns(back, names)) == bits(reference_body(path))
+    assert bits(back.timestamps) == bits(trace.timestamps)
+    assert bits(back.rss_db) == bits(trace.rss_db)
+    gt, gt_back = trace.ground_truth, back.ground_truth
+    assert (gt_back.hr_bpm is None) == (gt.hr_bpm is None)
+    if gt.hr_bpm is not None:
+        assert bits(gt_back.hr_bpm) == bits(gt.hr_bpm)
+    for attr, _ in SCALAR_COLUMNS:
+        want, got = getattr(gt, attr), getattr(gt_back, attr)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert bits(got) == bits(want)
+    assert back.ground_truth.label == gt.label
+    assert back.metadata == trace.metadata
+
+
+# Signed zeros, subnormals, the smallest subnormal and values either side of
+# repr's switch to exponent notation (1e-4 / 1e16), up to the largest finite.
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1e-5, 1e-4, 1e16, 9999999999999998.0, 1e308, -1e308,
+                  1.7976931348623157e308, 0.1, 1 / 3)
+FLOAT64 = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False, width=64))
 
 
 def test_lengths_must_match():
@@ -125,3 +217,93 @@ class TestRoundTrip:
         p.write_text("t_s,rss_db\n0.0,1.0\n")
         with pytest.raises(ValueError):
             load_trace(p)
+
+
+class TestExactColumnIO:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(FLOAT64, FLOAT64), min_size=1, max_size=40),
+        scalars=st.lists(st.one_of(st.none(), FLOAT64), min_size=4, max_size=4),
+        rate=st.floats(min_value=1e-3, max_value=1e4),
+    )
+    def test_matches_reference_writer_and_reader(self, tmp_path_session, rows,
+                                                 scalars, rate):
+        rss, hr = (np.array(c) for c in zip(*rows))
+        gt = GroundTruth(hr_bpm=hr, **{attr: v for (attr, _), v in
+                                       zip(SCALAR_COLUMNS, scalars)})
+        tr = make_trace(rss, sample_rate_hz=rate, ground_truth=gt)
+        assert_exact_io(tr, tmp_path_session / "t.csv", tmp_path_session / "ref.csv")
+
+    def test_one_trace_of_each_corpus_kind(self, tmp_path):
+        noise = NoiseModel(seed=4)
+        walk = WalkPath(crossing_m=1.0, angle_deg=60.0, speed_mps=1.2,
+                        start_offset_m=-3.0, duration_s=6.0)
+        traces = {
+            "vitals": simulate_vitals(VitalSignsProfile(), noise, 8.0),
+            "gesture": simulate_gesture(DEFAULT_TEMPLATES["punch"], noise, seed=2),
+            "crossing": simulate_crossing(LinkGeometry(rx=(0.0, 2.0)), walk, noise),
+        }
+        assert traces["vitals"].ground_truth.hr_bpm is not None
+        assert traces["gesture"].ground_truth.end_s is not None
+        assert traces["crossing"].ground_truth.cross_t_s is not None
+        for kind, tr in traces.items():
+            assert_exact_io(tr, tmp_path / f"{kind}.csv", tmp_path / f"{kind}_ref.csv")
+
+
+class TestLoadErrors:
+    @staticmethod
+    def written(tmp_path, n=30):
+        p = tmp_path / "t.csv"
+        save_trace(make_trace(np.linspace(-50.0, -40.0, n)), p)
+        return p, p.read_text().splitlines()
+
+    @staticmethod
+    def raises_at(p, line_no, what):
+        return pytest.raises(ValueError, match=f"^{re.escape(f'{p}:{line_no}: ')}.*{what}")
+
+    def test_timestamp_jump_names_its_line(self, tmp_path):
+        t = np.arange(30) / 449.0
+        t[10:] += 3.0
+        p = tmp_path / "gap.csv"
+        save_trace(RssTrace(TraceMetadata(), t, np.zeros(30)), p)
+        with self.raises_at(p, 13, "timestamp"):   # data row 10 is line 13
+            load_trace(p)
+
+    def test_step_within_half_a_period_accepted(self, tmp_path):
+        t = np.arange(30) / 449.0
+        t[10:] += 0.49 / 449.0
+        p = tmp_path / "jitter.csv"
+        save_trace(RssTrace(TraceMetadata(), t, np.zeros(30)), p)
+        assert np.array_equal(load_trace(p).timestamps, t)
+
+    def test_timestamp_line_counts_blank_lines(self, tmp_path):
+        p, lines = self.written(tmp_path)
+        fields = lines[7].split(",")
+        fields[0] = repr(float(fields[0]) + 1.0)
+        lines[7] = ",".join(fields)
+        lines.insert(4, "")
+        p.write_text("\n".join(lines) + "\n")
+        with self.raises_at(p, 9, "timestamp"):
+            load_trace(p)
+
+    def test_truncated_row_names_its_line(self, tmp_path):
+        p, lines = self.written(tmp_path)
+        lines[20] = lines[20].rsplit(",", 1)[0]
+        p.write_text("\n".join(lines) + "\n")
+        with self.raises_at(p, 21, "1 fields"):
+            load_trace(p)
+
+    def test_non_numeric_token_names_its_line(self, tmp_path):
+        p, lines = self.written(tmp_path)
+        lines[5] = lines[5].split(",")[0] + ",-4o.5"
+        p.write_text("\n".join(lines) + "\n")
+        with self.raises_at(p, 6, "'-4o.5' is not a number"):
+            load_trace(p)
+
+    def test_token_that_float_accepts_still_loads(self, tmp_path):
+        # numpy's parser rejects digit separators; the per-token fallback
+        # keeps float()'s reading of them.
+        p, lines = self.written(tmp_path, n=3)
+        lines[3] = lines[3].split(",")[0] + ",-4_0.5"
+        p.write_text("\n".join(lines) + "\n")
+        assert load_trace(p).rss_db[1] == -40.5
