@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import rank_filter
 from scipy.signal import sosfilt
 
 # Consistency constant relating MAD to the standard deviation of a Gaussian.
@@ -35,39 +36,82 @@ class HampelConfig:
             raise ValueError("half_window must be >= 1")
 
 
-def _middle(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """np.median of each row's first m[j] entries, given rows sorted ascending.
+def _middle(lo: np.ndarray, hi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """np.median of windows of m samples from sorted entries (m-1)//2 and m//2.
 
     Even counts take the mean of the two middle entries, as np.median does.
     Like np.median's mean, the sum starts from +0.0, so a -0.0 median is +0.0.
     """
-    r = np.arange(len(m))
-    lo = rows[r, (m - 1) // 2] + 0.0
-    hi = rows[r, m // 2]
+    lo = lo + 0.0
     return np.where(m % 2 == 1, lo, (lo + hi) / 2.0)
+
+
+def _screen_ranks(p):
+    """Ranks a <= p <= b around rank p with at most p ranks strictly between.
+
+    Let y be a window of m samples sorted ascending, med its median and
+    p = (m - 1) // 2. Every y[i] with i <= a or i >= b deviates from med by
+    at least LB = min(med - y[a], y[b] - med), and at most p ranks lie
+    strictly between a and b. Yet at least p + 1 deviations are not above
+    the MAD, which is the p-th smallest deviation (0-based) or, for even m,
+    the mean of it and the next. So the MAD is not below LB.
+    """
+    h = (p + 1) // 2
+    return p - h, p + h
+
+
+def _kept(xc: np.ndarray, med: np.ndarray, y_a: np.ndarray, y_b: np.ndarray,
+          cfg: HampelConfig) -> np.ndarray:
+    """True where xc is certainly kept: |xc - med| <= threshold at LB <= MAD.
+
+    Rounded subtraction and the product with the positive constant are
+    monotone, so LB also bounds the MAD as the exact path rounds it, and
+    _decide keeps every sample this passes.
+    """
+    lb = np.minimum(med - y_a, y_b - med)
+    return np.abs(xc - med) <= cfg.n_sigmas * MAD_SCALE * lb
 
 
 def _left_edge_hampel(x: np.ndarray, cfg: HampelConfig) -> np.ndarray:
     """Hampel output for x[:k], whose windows x[:i + k + 1] are shrunken.
 
-    All k windows are prefixes of x[:2k]; they are evaluated in blocks of
-    rows, each row padded with +inf beyond its window so that a row-wise sort
-    puts the window's own samples first.
+    All k windows are prefixes of x[:2k], so one stable sort of x[:2k] lists
+    each window's sorted entries: those whose index lies inside it. That
+    gives each window's exact median and the MAD bound of _kept. The sort
+    orders +-inf exactly, and a window holding a NaN keeps its sample
+    whichever way the bound decides, so unlike the interior no window needs
+    routing by its values. Windows the bound cannot certify get their MAD
+    from a row-wise sort of their deviations, each row padded with +inf
+    beyond its window. Rows go in blocks to bound the memory.
     """
     k = cfg.half_window
-    nan_count = np.cumsum(np.isnan(x[:2 * k]))
-    out = np.empty(k)
+    head = x[:2 * k]
+    # the narrowest integer type holding the indices keeps the masks cheap
+    order = np.argsort(head, kind="stable").astype(np.min_scalar_type(2 * k))
+    ordered = head[order]
+    nan_count = np.cumsum(np.isnan(head))
+    out = x[:k].copy()
     step = max(1, _BLOCK // (2 * k))
     for lo in range(0, k, step):
-        m = np.arange(lo, min(lo + step, k)) + k + 1  # window lengths
-        inside = np.arange(m[-1]) < m[:, None]
-        rows = np.where(inside, x[:m[-1]], np.inf)
-        rows.sort(axis=1)
-        med = _middle(rows, m)
-        dev = np.where(inside, np.abs(rows - med[:, None]), np.inf)
+        i = np.arange(lo, min(lo + step, k))
+        m = i + k + 1  # window lengths
+        # flat positions of each window's entries, row by row, in sorted order
+        pos = np.flatnonzero(order < m.astype(order.dtype)[:, None])
+        first = np.cumsum(m) - m  # where each window's entries start in pos
+        p = (m - 1) // 2
+        ranks = np.stack((p, m // 2, *_screen_ranks(p)))
+        y_lo, y_hi, y_a, y_b = ordered[pos[first + ranks] % (2 * k)]
+        med = _middle(y_lo, y_hi, m)
+        exact = ~_kept(out[i], med, y_a, y_b, cfg)
+        if not exact.any():
+            continue
+        i, m, med = i[exact], m[exact], med[exact]
+        inside = np.arange(m.max()) < m[:, None]
+        dev = np.where(inside, np.abs(head[:m.max()] - med[:, None]), np.inf)
         dev.sort(axis=1)
-        mad = _middle(dev, m)
-        out[lo:lo + len(m)] = _decide(x[lo:lo + len(m)], med, mad, nan_count[m - 1] == 0, cfg)
+        r = np.arange(len(i))
+        mad = _middle(dev[r, (m - 1) // 2], dev[r, m // 2], m)
+        out[i] = _decide(out[i], med, mad, nan_count[m - 1] == 0, cfg)
     return out
 
 
@@ -108,6 +152,15 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
     +-inf replaces nothing. An infinite sample in a window with a finite
     median and MAD is an outlier like any other and is replaced. Only bare
     arrays reach these cases: RssTrace rejects non-finite samples.
+
+    The output equals that of computing every window's median and MAD, but
+    most samples skip the MAD. Rank filters give each window's median and
+    two order statistics y[a] <= med <= y[b] around it, and
+    LB = min(med - y[a], y[b] - med) is a lower bound on the MAD (see
+    _screen_ranks). A sample with |x[i] - med| <= n_sigmas * 1.4826 * LB is
+    kept without its MAD. The rest take the exact median/MAD path, and so
+    does every full window holding a non-finite value, because the rank
+    filters see those values as 0 (they mis-order NaN).
     """
     x = np.asarray(x, dtype=np.float64)
     k = cfg.half_window
@@ -115,25 +168,34 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
     n = len(x)
     if n < win:
         raise ValueError(f"series of {n} samples is shorter than the {win}-sample window")
-    out = np.empty_like(x)
+    out = x.copy()
 
-    # Interior: full windows, processed in chunks of rows to bound the memory
-    # of the windowed medians. The window is odd, so the median is element k
-    # of a partition; NaN windows are found by count.
+    # Interior: full windows. Uncertified windows go to the exact path in
+    # chunks of rows to bound the memory. The window is odd, so the median
+    # and the MAD are element k of a partition; NaN windows are found by
+    # count.
+    finite = np.isfinite(x)
+    zeroed = np.where(finite, x, 0.0)
+    a, b = _screen_ranks(k)
+    y_a, med, y_b = (rank_filter(zeroed, r, size=win)[k:n - k] for r in (a, k, b))
     nan_count = np.concatenate([[0], np.cumsum(np.isnan(x))])
+    bad_count = np.concatenate([[0], np.cumsum(~finite)])
     window_nans = nan_count[win:] - nan_count[:-win]
+    windows = np.lib.stride_tricks.sliding_window_view(x, win)
     step = max(1, _BLOCK // win)
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(k, n - k, step):
-            hi = min(lo + step, n - k)
-            w = np.lib.stride_tricks.sliding_window_view(x[lo - k: hi + k], win)
-            part = np.partition(w, k, axis=1)
+        exact = np.flatnonzero((bad_count[win:] > bad_count[:-win])
+                               | ~_kept(x[k:n - k], med, y_a, y_b, cfg))
+        for lo in range(0, len(exact), step):
+            j = exact[lo:lo + step]  # window starts; centres are j + k
+            part = windows[j]
+            part.partition(k, axis=1)
             med = part[:, k] + 0.0  # a fresh copy; -0.0 -> +0.0 as in np.median
             np.subtract(part, med[:, None], out=part)
             np.abs(part, out=part)
             part.partition(k, axis=1)
             mad = part[:, k]
-            out[lo:hi] = _decide(x[lo:hi], med, mad, window_nans[lo - k: hi - k] == 0, cfg)
+            out[j + k] = _decide(x[j + k], med, mad, window_nans[j] == 0, cfg)
     _shrunken_edges_hampel(x, out, cfg)
     return out
 

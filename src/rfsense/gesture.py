@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -20,6 +21,7 @@ from scipy.ndimage import maximum_filter1d
 from . import classifiers as _clf
 from .dsp import (
     HampelConfig,
+    IirFilter,
     butterworth_lowpass,
     filter_forward,
     hampel_filter,
@@ -87,12 +89,20 @@ class GestureSegment:
         return self.end_s - self.start_s
 
 
+@lru_cache(maxsize=8)
+def _lowpass(order: int, cutoff_hz: float, fs: float) -> IirFilter:
+    """The preprocessing lowpass, designed once per (order, cutoff, rate).
+
+    Every caller shares the returned filter, so none may modify it.
+    """
+    return butterworth_lowpass(order, cutoff_hz, fs)
+
+
 def preprocess(rss_db: np.ndarray, fs: float, cfg: SegmentationConfig) -> np.ndarray:
     """Hampel -> lowpass -> local mean removal; the series segments see."""
     x = hampel_filter(rss_db, cfg.hampel)
     if cfg.lowpass_cutoff_hz < fs / 2:
-        lp = butterworth_lowpass(cfg.lowpass_order, cfg.lowpass_cutoff_hz, fs)
-        x = filter_forward(lp, x)
+        x = filter_forward(_lowpass(cfg.lowpass_order, cfg.lowpass_cutoff_hz, fs), x)
     mean_n = max(1, int(round(cfg.mean_window_s * fs)))
     return x - moving_average(x, mean_n)
 
@@ -440,6 +450,12 @@ _MODEL_KEYS = ("kind", "hyperparameters", "layout", "feature_mean",
                "feature_scale", "state")
 
 
+def _list_of(value, types) -> bool:
+    """True for a JSON array whose items are all of `types` (never bool)."""
+    return isinstance(value, list) and all(
+        isinstance(v, types) and not isinstance(v, bool) for v in value)
+
+
 def load_model(path) -> TrainedModel:
     """Read a model written by save_model; a malformed file raises ValueError."""
     with open(path, encoding="utf-8") as fh:
@@ -452,6 +468,14 @@ def load_model(path) -> TrainedModel:
     for key in _MODEL_KEYS:
         if key not in doc:
             raise ValueError(f"{path}: model lacks key {key!r}")
+    for key in ("hyperparameters", "state"):
+        if not isinstance(doc[key], dict):
+            raise ValueError(f"{path}: model {key!r} is not an object")
+    if not _list_of(doc["layout"], str):
+        raise ValueError(f"{path}: model 'layout' is not a list of strings")
+    for key in ("feature_mean", "feature_scale"):
+        if not _list_of(doc[key], (int, float)):
+            raise ValueError(f"{path}: model {key!r} is not a list of numbers")
     if doc["kind"] not in CLASSIFIER_KINDS:
         raise ValueError(f"{path}: unknown classifier kind {doc['kind']!r}")
     try:

@@ -325,6 +325,22 @@ class TestGesture:
         assert err.startswith(f"error: {model}: ") and "'hyperparameters'" in err
         assert "Traceback" not in err
 
+    def test_classify_with_model_state_of_wrong_type_exits_1(self, gesture_corpus,
+                                                              tmp_path, capsys):
+        _, test, seg_cfg = gesture_corpus
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format_version": gesture.MODEL_FORMAT_VERSION, "kind": "knn",
+            "hyperparameters": {}, "layout": [], "feature_mean": [],
+            "feature_scale": [], "state": []}))
+        rc = run(["gesture", "classify", "--trace", str(test / "punch_0.csv"),
+                  "--model", str(model), "--config", str(seg_cfg),
+                  "-o", str(tmp_path / "cls")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and "'state'" in err
+        assert "Traceback" not in err
+
 
 class TestSpeed:
     def test_calibrate_outputs(self, calibrated):

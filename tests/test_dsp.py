@@ -7,7 +7,7 @@ transform, computed here independently of the design code.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rfsense import dsp
 from rfsense.dsp import (
@@ -118,6 +118,26 @@ class TestHampel:
         assert out[10] == 5.0  # its window holds the NaN: no replacement
         assert np.isnan(out[11])
 
+    def test_infinite_sample_is_not_read_as_zero(self):
+        # With the +inf read as 0, the window median would be 3 and the MAD
+        # bound 1, certifying -1 as kept. The true median is 4 and the MAD 1,
+        # so -1 is an outlier.
+        x = np.array([np.inf, 4.0, 3, -1, 4, 4, -4])
+        cfg = HampelConfig(half_window=3)
+        out = hampel_filter(x, cfg)
+        assert out[3] == 4.0
+        assert np.array_equal(out, naive_hampel(x, cfg))
+
+    def test_even_shrunken_window_bounds_the_mad(self):
+        # The first window, 0.6, 0, 2.4, 10, has median 1.5 and MAD 0.9, so
+        # 0.6 is an outlier at n_sigmas=0.5. Ranks 0 and 2 bound the MAD by
+        # min(1.5, 0.9); ranks 0 and 3 would give 1.5 and keep 0.6.
+        x = np.array([0.6, 0.0, 2.4, 10.0, 1.0, 1.0, 1.0])
+        cfg = HampelConfig(n_sigmas=0.5, half_window=3)
+        out = hampel_filter(x, cfg)
+        assert out[0] == 1.5
+        assert np.array_equal(out, naive_hampel(x, cfg))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_idempotent_on_sparse_impulses(self, seed):
         # Smooth baseline plus isolated impulses: one pass removes the
@@ -139,10 +159,53 @@ class TestHampel:
         x[::700] += 20.0
         cfg = HampelConfig()
         full = hampel_filter(x, cfg)
-        for start, stop in [(0, 500), (250, 1500), (2400, 3000)]:
+        slices = [(0, 500), (250, 1500), (2400, 3000)]
+        for start, stop in slices:
             want = hampel_filter(x[start:stop], cfg)
             got = hampel_refresh_edges(x, full, start, stop, cfg)
             assert np.array_equal(got, want)
+        # Non-finite samples just inside and just outside each slice's
+        # shrunken edges, where the refreshed windows differ from the full.
+        for pos in (3, 150, 260, 330, 1420, 1560, 2460, 2950):
+            x[pos] = rng.choice([np.nan, np.inf, -np.inf])
+        full = hampel_filter(x, cfg)
+        for start, stop in slices:
+            want = hampel_filter(x[start:stop], cfg)
+            got = hampel_refresh_edges(x, full, start, stop, cfg)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @given(
+        k=st.integers(1, 25),
+        extra=st.integers(0, 250),
+        seed=st.integers(0, 2**32 - 1),
+        step=st.sampled_from([0.1, 1.0]),
+        n_sigmas=st.sampled_from([0.5, 3.0]),
+        special=st.lists(st.tuples(st.integers(0, 299), st.booleans(),
+                                   st.sampled_from([np.nan, np.inf, -np.inf, -0.0])),
+                         max_size=6),
+    )
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_screened_kernel_matches_reference(self, monkeypatch, block, k, extra, seed,
+                                               step, n_sigmas, special):
+        # Heavy-tailed samples on a coarse grid (ties, -0.0 from rounding)
+        # give certified samples, uncertified ones and zero-MAD windows in
+        # both the interior and the shrunken edges. Special values land
+        # anywhere or, with the flag set, within k of the right end. block=7
+        # splits the uncertified windows into blocks of one to three rows.
+        if block is not None:
+            monkeypatch.setattr(dsp, "_BLOCK", block)
+        n = 2 * k + 1 + extra
+        x = np.round(np.random.default_rng(seed).standard_t(2, n) / step) * step
+        for pos, at_end, value in special:
+            x[n - 1 - pos % (k + 1) if at_end else pos % n] = value
+        cfg = HampelConfig(n_sigmas=n_sigmas, half_window=k)
+        with np.errstate(invalid="ignore"):
+            want = naive_hampel(x, cfg)
+        got = hampel_filter(x, cfg)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,27 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'{key}'"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("state", [], "an object"),
+        ("state", 5, "an object"),
+        ("hyperparameters", [1], "an object"),
+        ("layout", 5, "a list of strings"),
+        ("layout", ["ok", 1], "a list of strings"),
+        ("feature_mean", "0.5", "a list of numbers"),
+        ("feature_mean", [0.5, "x"], "a list of numbers"),
+        ("feature_scale", [1.0, True], "a list of numbers"),
+        ("feature_scale", {"a": 1.0}, "a list of numbers"),
+    ])
+    def test_wrong_type_names_file_and_key(self, key, value, kind, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train(blob_dataset(seed=14, per_class=4), "knn"), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(path))}: model '{key}' is not {kind}"):
+            load_model(path)
+
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format_version": 99, "kind": "knn"}')
