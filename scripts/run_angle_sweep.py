@@ -11,24 +11,15 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
+from rfsense.evaluate import corpus_speed_config, crossing_points, write_rows
 from rfsense.sim import (
     CROSSING_DURATION_S,
     CROSSING_LINK,
     NoiseModel,
-    VitalSignsProfile,
     WalkPath,
     simulate_crossing,
-    simulate_vitals,
 )
-from rfsense.speed import (
-    SpeedConfig,
-    calibrate_alpha,
-    calibrate_crossing_threshold,
-    crossing_frequency,
-    estimate_speed,
-)
+from rfsense.speed import calibrate_alpha, estimate_speed
 
 
 def crossing_at(speed, angle, seed):
@@ -47,18 +38,10 @@ def main():
     parser.add_argument("--output", default="results")
     args = parser.parse_args()
 
-    base = SpeedConfig(window_s=5.5, smoothing_window=5, search_interval_s=12.0)
-    quiet = simulate_vitals(
-        VitalSignsProfile(breathing_amplitude_db=0.0, pulse_amplitude_db=0.0),
-        NoiseModel(seed=7), duration_s=30.0)
-    cfg = replace(base,
-                  crossing_threshold_hz=calibrate_crossing_threshold(quiet, base))
-
-    points = []
-    for k, v in enumerate((0.4, 0.7, 1.0, 1.3, 1.6)):
-        event = crossing_frequency(crossing_at(v, 90.0, args.seed + 1000 + k), cfg)
-        points.append((event.f_min_av_hz, v))
-    alpha, _ = calibrate_alpha(points)
+    cfg = corpus_speed_config(7)
+    walks = [crossing_at(v, 90.0, args.seed + 1000 + k)
+             for k, v in enumerate((0.4, 0.7, 1.0, 1.3, 1.6))]
+    alpha, _ = calibrate_alpha(crossing_points(walks, cfg))
     cfg = replace(cfg, alpha_m=alpha)
     print(f"alpha = {alpha:.4f} m from perpendicular crossings")
 
@@ -66,17 +49,12 @@ def main():
     for k, angle in enumerate(args.angles):
         event = estimate_speed(crossing_at(args.speed, angle, args.seed + k), cfg)
         err = event.v_hat_mps - args.speed
-        rows.append((angle, event.f_min_av_hz, event.v_hat_mps, err))
+        rows.append([angle, event.f_min_av_hz, event.v_hat_mps, err])
         print(f"angle {angle:5.1f} deg: f_min_av {event.f_min_av_hz:.3f} Hz, "
               f"v_hat {event.v_hat_mps:.3f} m/s (error {err:+.3f})")
 
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "angle_sweep.csv"
-    with open(path, "w") as fh:
-        fh.write("angle_deg,f_min_av_hz,v_hat_mps,error_mps\n")
-        for angle, f_min, v_hat, err in rows:
-            fh.write(f"{angle!r},{f_min!r},{v_hat!r},{err!r}\n")
+    path = Path(args.output) / "angle_sweep.csv"
+    write_rows(path, ["angle_deg", "f_min_av_hz", "v_hat_mps", "error_mps"], rows)
     print(f"wrote {path}")
 
 

@@ -12,24 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rfsense.sim import NoiseModel, VitalSignsProfile, make_corpora, simulate_vitals
-from rfsense.speed import (
-    SpeedConfig,
-    calibrate_alpha,
-    calibrate_crossing_threshold,
-    crossing_frequency,
-    estimate_speed,
-)
-
-
-def tuned_config() -> SpeedConfig:
-    # window wide enough for the slowest transit in the corpus; detection
-    # threshold taken from an empty scene rather than the trace itself
-    base = SpeedConfig(window_s=5.5, smoothing_window=5, search_interval_s=12.0)
-    quiet = simulate_vitals(
-        VitalSignsProfile(breathing_amplitude_db=0.0, pulse_amplitude_db=0.0),
-        NoiseModel(seed=7), duration_s=30.0)
-    return replace(base, crossing_threshold_hz=calibrate_crossing_threshold(quiet, base))
+from rfsense.evaluate import corpus_speed_config, crossing_points, rmse, write_rows
+from rfsense.sim import make_corpora
+from rfsense.speed import calibrate_alpha, estimate_speed
 
 
 def main():
@@ -39,12 +24,9 @@ def main():
     args = parser.parse_args()
 
     crossing = make_corpora(args.seed)["crossing"]
-    cfg = tuned_config()
+    cfg = corpus_speed_config(7)
 
-    points = []
-    for trace in crossing[::2]:
-        event = crossing_frequency(trace, cfg)
-        points.append((event.f_min_av_hz, trace.ground_truth.speed_mps))
+    points = crossing_points(crossing[::2], cfg)
     alpha, fit_rmse = calibrate_alpha(points)
     print(f"alpha = {alpha:.4f} m (fit rmse {fit_rmse:.4f} m/s, "
           f"{len(points)} crossings)")
@@ -54,25 +36,19 @@ def main():
     for trace in crossing[1::2]:
         event = estimate_speed(trace, cfg)
         truth = trace.ground_truth.speed_mps
-        rows.append((trace.metadata.extras["trace_id"], truth,
-                     event.v_hat_mps, event.f_min_av_hz))
+        rows.append([trace.metadata.extras["trace_id"], truth,
+                     event.v_hat_mps, event.f_min_av_hz])
         by_speed[truth].append(event.v_hat_mps)
 
-    errors = [v_hat - truth for _, truth, v_hat, _ in rows]
-    print(f"held-out rmse = {np.sqrt(np.mean(np.square(errors))):.4f} m/s "
-          f"over {len(rows)} crossings")
+    held_out = rmse([v_hat - truth for _, truth, v_hat, _ in rows])
+    print(f"held-out rmse = {held_out:.4f} m/s over {len(rows)} crossings")
     for truth in sorted(by_speed):
         vals = by_speed[truth]
         print(f"  true {truth:.1f} m/s: mean {np.mean(vals):.3f}, "
               f"std {np.std(vals):.3f}")
 
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "speed_holdout.csv"
-    with open(path, "w") as fh:
-        fh.write("trace_id,speed_mps,v_hat_mps,f_min_av_hz\n")
-        for trace_id, truth, v_hat, f_min in rows:
-            fh.write(f"{trace_id},{truth!r},{v_hat!r},{f_min!r}\n")
+    path = Path(args.output) / "speed_holdout.csv"
+    write_rows(path, ["trace_id", "speed_mps", "v_hat_mps", "f_min_av_hz"], rows)
     print(f"wrote {path}")
 
 

@@ -10,20 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
+from rfsense.evaluate import hr_errors, rmse, write_rows
 from rfsense.heart import HeartRateConfig, stream_heart_rate
 from rfsense.sim import make_corpora
-
-
-def pooled_rmse(traces, window_s):
-    cfg = HeartRateConfig(window_s=window_s)
-    errors = []
-    for trace in traces:
-        ests = [e for e in stream_heart_rate(trace, cfg)
-                if e.status == "estimate"]
-        gt = np.interp([e.time_s for e in ests], trace.timestamps,
-                       trace.ground_truth.hr_bpm)
-        errors.extend(np.array([e.bpm for e in ests]) - gt)
-    return float(np.sqrt(np.mean(np.square(errors)))), len(errors)
 
 
 def main():
@@ -35,20 +24,17 @@ def main():
     args = parser.parse_args()
 
     traces = make_corpora(args.seed)["vitals"]
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-
     rows = []
     for w in args.windows:
-        rmse, n = pooled_rmse(traces, w)
-        rows.append((w, rmse, n))
-        print(f"window {w:5.1f} s: rmse {rmse:6.3f} bpm over {n} estimates")
+        cfg = HeartRateConfig(window_s=w)
+        errors = np.concatenate([hr_errors(t, stream_heart_rate(t, cfg))
+                                 for t in traces])
+        score = rmse(errors)
+        rows.append([w, score, len(errors)])
+        print(f"window {w:5.1f} s: rmse {score:6.3f} bpm over {len(errors)} estimates")
 
-    path = out / "window_sweep.csv"
-    with open(path, "w") as fh:
-        fh.write("window_s,rmse_bpm,n_estimates\n")
-        for w, rmse, n in rows:
-            fh.write(f"{w!r},{rmse!r},{n}\n")
+    path = Path(args.output) / "window_sweep.csv"
+    write_rows(path, ["window_s", "rmse_bpm", "n_estimates"], rows)
     print(f"wrote {path}")
 
 

@@ -16,14 +16,21 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import asdict, replace
+import typing
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, gesture, heart, speed
-from .dsp import HampelConfig
+from .evaluate import (
+    CORPUS_SEGMENTATION,
+    CORPUS_SPEED,
+    corpus_speed_config,
+    hr_errors,
+    rmse,
+    write_rows,
+)
 from .gesture import GESTURE_LABELS, SegmentationConfig
 from .heart import HeartRateConfig
 from .sim import (
@@ -40,12 +47,6 @@ from .sim import (
 )
 from .speed import SpeedConfig
 from .trace import load_trace, save_trace
-
-# segmentation/speed settings sized for the bundled simulation corpora:
-# gesture traces are ~16 s, so the variance history must fit inside them;
-# the speed window has to cover the slowest transit in the speed grid.
-CORPUS_SEGMENTATION = {"long_window": 4490}
-CORPUS_SPEED = {"window_s": 5.5, "smoothing_window": 5, "search_interval_s": 12.0}
 
 
 class UsageError(Exception):
@@ -72,46 +73,49 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _dataclass_from(section: dict, cls, what: str, **prebuilt):
-    merged = dict(section)
-    merged.update(prebuilt)
-    if "hampel" in merged and isinstance(merged["hampel"], dict):
-        merged["hampel"] = HampelConfig(**merged["hampel"])
+def _section(config: dict, name: str, cls, **flags):
+    """Config dataclass `cls` from config section `name`, then `flags`."""
+    return _dataclass_from(config.get(name, {}), cls, name, **flags)
+
+
+def _dataclass_from(section, cls, what: str, **flags):
+    """Build config dataclass `cls` from a JSON object.
+
+    Each value is checked against its field's annotation first: an int
+    field takes an int that is not a bool, a float field a finite number
+    (ints included), a dataclass field such as `hampel` a JSON object built
+    the same way, a tuple field a JSON array, and null only where the
+    annotation admits None.
+    """
+    if not isinstance(section, dict):
+        raise UsageError(f"bad {what} config: need a JSON object, not {section!r}")
+    hints = typing.get_type_hints(cls)
+    fields = {name: _field_value(value, hints[name], f"{what}.{name}")
+              if name in hints else value
+              for name, value in {**section, **flags}.items()}
     try:
-        return cls(**merged)
+        return cls(**fields)
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad {what} config: {e}")
 
 
-def _heart_config(config: dict) -> HeartRateConfig:
-    return _dataclass_from(config.get("heart", {}), HeartRateConfig, "heart")
-
-
-def _segmentation_config(config: dict) -> SegmentationConfig:
-    return _dataclass_from(config.get("segmentation", {}), SegmentationConfig,
-                           "segmentation")
-
-
-def _speed_config(config: dict) -> SpeedConfig:
-    return _dataclass_from(config.get("speed", {}), SpeedConfig, "speed")
-
-
-def _noise_model(config: dict, seed: int) -> NoiseModel:
-    section = dict(config.get("noise", {}))
-    section["seed"] = seed
-    return _dataclass_from(section, NoiseModel, "noise")
-
-
-def _link_geometry(config: dict) -> LinkGeometry:
-    section = dict(config.get("link", {}))
-    for key in ("tx", "rx"):
-        if key in section:
-            section[key] = tuple(section[key])
-    return _dataclass_from(section, LinkGeometry, "link")
-
-
-def _body_model(config: dict) -> BodyModel:
-    return _dataclass_from(config.get("body", {}), BodyModel, "body")
+def _field_value(value, kind, what: str):
+    options = typing.get_args(kind)
+    if type(None) in options:
+        if value is None:
+            return None
+        (kind,) = (k for k in options if k is not type(None))
+    if is_dataclass(kind):
+        return _dataclass_from(value, kind, what)
+    if kind is tuple and isinstance(value, list):
+        return tuple(value)
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise UsageError(f"bad {what} config: need an integer, not {value!r}")
+    if kind is float and (isinstance(value, bool)
+                          or not isinstance(value, (int, float))
+                          or not math.isfinite(value)):
+        raise UsageError(f"bad {what} config: need a finite number, not {value!r}")
+    return value
 
 
 def _out_dir(args) -> Path:
@@ -133,15 +137,6 @@ def _write_manifest(out: Path, command: str, seed: int, config_used: dict,
     path = out / "manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    """Write one CSV table: LF line ends, floats by repr, None as ""."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([repr(v) if isinstance(v, float) else v for v in row]
-                         for row in rows)
 
 
 def _collect_traces(paths: list[str]) -> list[Path]:
@@ -169,23 +164,22 @@ def _collect_traces(paths: list[str]) -> list[Path]:
 
 def _cmd_simulate(args, config: dict) -> int:
     out = _out_dir(args)
-    outputs: list[Path] = []
+    if args.kind == "corpora":
+        outputs, cfg_used = _write_corpora(out, args.seed)
+        _write_manifest(out, "simulate corpora", args.seed, cfg_used,
+                        inputs=[], outputs=outputs)
+        return 0
 
+    noise = _section(config, "noise", NoiseModel, seed=args.seed)
     if args.kind == "vitals":
-        section = dict(config.get("vitals", {}))
-        if args.hr is not None:
-            section["heart_rate_bpm"] = args.hr
-        profile = _dataclass_from(section, VitalSignsProfile, "vitals")
-        trace = simulate_vitals(profile, _noise_model(config, args.seed),
-                                duration_s=args.duration)
-        path = out / "vitals.csv"
-        save_trace(trace, path)
-        outputs.append(path)
+        hr = {} if args.hr is None else {"heart_rate_bpm": args.hr}
+        profile = _section(config, "vitals", VitalSignsProfile, **hr)
+        trace = simulate_vitals(profile, noise, duration_s=args.duration)
         cfg_used = {"vitals": asdict(profile)}
 
     elif args.kind == "crossing":
-        link = _link_geometry(config)
-        body = _body_model(config)
+        link = _section(config, "link", LinkGeometry)
+        body = _section(config, "body", BodyModel)
         path_def = WalkPath(
             crossing_m=args.position if args.position is not None else link.d / 2,
             angle_deg=args.angle,
@@ -193,31 +187,22 @@ def _cmd_simulate(args, config: dict) -> int:
             start_offset_m=-args.speed * args.duration / 2.0,
             duration_s=args.duration,
         )
-        trace = simulate_crossing(link, path_def, _noise_model(config, args.seed),
-                                  body=body)
-        path = out / "crossing.csv"
-        save_trace(trace, path)
-        outputs.append(path)
+        trace = simulate_crossing(link, path_def, noise, body=body)
         cfg_used = {"link": asdict(link), "body": asdict(body),
                     "path": asdict(path_def)}
 
-    elif args.kind == "gesture":
+    else:  # gesture
         if args.label not in DEFAULT_TEMPLATES:
             raise UsageError(f"unknown gesture label {args.label!r}; "
                              f"choose from {', '.join(GESTURE_LABELS)}")
         template = DEFAULT_TEMPLATES[args.label]
-        trace = simulate_gesture(template, _noise_model(config, args.seed),
-                                 seed=args.seed)
-        path = out / "gesture.csv"
-        save_trace(trace, path)
-        outputs.append(path)
+        trace = simulate_gesture(template, noise, seed=args.seed)
         cfg_used = {"template": asdict(template)}
 
-    else:  # corpora
-        outputs, cfg_used = _write_corpora(out, args.seed)
-
+    path = out / f"{args.kind}.csv"
+    save_trace(trace, path)
     _write_manifest(out, f"simulate {args.kind}", args.seed, cfg_used,
-                    inputs=[], outputs=outputs)
+                    inputs=[], outputs=[path])
     return 0
 
 
@@ -225,15 +210,7 @@ def _write_corpora(out: Path, seed: int) -> tuple[list[Path], dict]:
     corpora = make_corpora(seed)
     outputs: list[Path] = []
 
-    for name in ("vitals", "crossing"):
-        d = out / name
-        d.mkdir(parents=True, exist_ok=True)
-        for trace in corpora[name]:
-            path = d / f"{trace.metadata.extras['trace_id']}.csv"
-            save_trace(trace, path)
-            outputs.append(path)
-
-    for name in ("gesture_train", "gesture_test"):
+    for name in ("vitals", "crossing", "gesture_train", "gesture_test"):
         d = out / name
         d.mkdir(parents=True, exist_ok=True)
         rows = []
@@ -243,16 +220,13 @@ def _write_corpora(out: Path, seed: int) -> tuple[list[Path], dict]:
             outputs.append(path)
             gt = trace.ground_truth
             rows.append([path.name, gt.label, gt.start_s, gt.end_s])
-        manifest = d / "manifest.csv"
-        _write_rows(manifest, ["file", "label", "start_s", "end_s"], rows)
-        outputs.append(manifest)
+        if name.startswith("gesture"):
+            manifest = d / "manifest.csv"
+            write_rows(manifest, ["file", "label", "start_s", "end_s"], rows)
+            outputs.append(manifest)
 
     # threshold calibrated against an empty scene with the same noise seed
-    quiet = simulate_vitals(
-        VitalSignsProfile(breathing_amplitude_db=0.0, pulse_amplitude_db=0.0),
-        NoiseModel(seed=seed), duration_s=30.0)
-    base = _dataclass_from(CORPUS_SPEED, SpeedConfig, "speed")
-    thr = speed.calibrate_crossing_threshold(quiet, base)
+    thr = corpus_speed_config(seed).crossing_threshold_hz
     corpus_config = {
         "segmentation": dict(CORPUS_SEGMENTATION),
         "speed": {**CORPUS_SPEED, "crossing_threshold_hz": thr},
@@ -269,20 +243,16 @@ def _write_corpora(out: Path, seed: int) -> tuple[list[Path], dict]:
 
 
 def _cmd_heartrate(args, config: dict) -> int:
-    cfg = _heart_config(config)
-    if args.window is not None:
-        try:
-            cfg = replace(cfg, window_s=args.window)
-        except ValueError as e:
-            raise UsageError(f"bad --window: {e}")
+    window = {} if args.window is None else {"window_s": args.window}
+    cfg = _section(config, "heart", HeartRateConfig, **window)
     trace = load_trace(args.trace)
     cfg = replace(cfg, sample_rate_hz=trace.metadata.sample_rate_hz)
     estimates = heart.stream_heart_rate(trace, cfg)
 
     out = _out_dir(args)
     est_path = out / "estimates.csv"
-    _write_rows(est_path, ["t_s", "bpm", "status", "peak_power"],
-                [[e.time_s, e.bpm, e.status, e.peak_power] for e in estimates])
+    write_rows(est_path, ["t_s", "bpm", "status", "peak_power"],
+               [[e.time_s, e.bpm, e.status, e.peak_power] for e in estimates])
     outputs = [est_path]
 
     usable = [e for e in estimates if e.status == heart.STATUS_ESTIMATE]
@@ -293,12 +263,9 @@ def _cmd_heartrate(args, config: dict) -> int:
         ["n_insufficient", sum(e.status == heart.STATUS_INSUFFICIENT for e in estimates)],
     ]
     if trace.ground_truth.hr_bpm is not None and usable:
-        t = np.array([e.time_s for e in usable])
-        est = np.array([e.bpm for e in usable])
-        ref = np.interp(t, trace.timestamps, trace.ground_truth.hr_bpm)
-        summary.append(["rmse_bpm", float(np.sqrt(np.mean((est - ref) ** 2)))])
+        summary.append(["rmse_bpm", rmse(hr_errors(trace, estimates))])
     sum_path = out / "summary.csv"
-    _write_rows(sum_path, ["metric", "value"], summary)
+    write_rows(sum_path, ["metric", "value"], summary)
     outputs.append(sum_path)
 
     _write_manifest(out, "heartrate", args.seed, {"heart": asdict(cfg)},
@@ -340,7 +307,7 @@ def _dominant_feature(trace, seg_cfg: SegmentationConfig):
 
 
 def _cmd_gesture(args, config: dict) -> int:
-    seg_cfg = _segmentation_config(config)
+    seg_cfg = _section(config, "segmentation", SegmentationConfig)
     out = _out_dir(args)
 
     if args.action == "train":
@@ -374,8 +341,8 @@ def _cmd_gesture(args, config: dict) -> int:
             label = gesture.classify(model, fv)
             print(label)
         pred_path = out / "prediction.csv"
-        _write_rows(pred_path, ["file", "predicted"],
-                    [[Path(args.trace).name, label or "(none)"]])
+        write_rows(pred_path, ["file", "predicted"],
+                   [[Path(args.trace).name, label or "(none)"]])
         _write_manifest(out, "gesture classify", args.seed,
                         {"segmentation": asdict(seg_cfg)},
                         inputs=[args.trace, args.model], outputs=[pred_path])
@@ -397,18 +364,18 @@ def _cmd_gesture(args, config: dict) -> int:
     result = gesture.evaluate(model, data)
 
     pred_path = out / "predictions.csv"
-    _write_rows(pred_path, ["file", "actual", "predicted"], rows)
+    write_rows(pred_path, ["file", "actual", "predicted"], rows)
     conf_path = out / "confusion.csv"
     conf_rows = [[GESTURE_LABELS[i]] + [float(x) for x in result.confusion[i]]
                  for i in range(len(GESTURE_LABELS))]
-    _write_rows(conf_path, ["predicted\\actual"] + list(GESTURE_LABELS), conf_rows)
+    write_rows(conf_path, ["predicted\\actual"] + list(GESTURE_LABELS), conf_rows)
     sum_path = out / "summary.csv"
     summary = [["mean_accuracy", result.mean_accuracy],
                ["n_samples", result.n_samples],
                ["n_undetected", len(rows) - len(data)]]
     summary += [[f"accuracy_{label}", acc]
                 for label, acc in sorted(result.per_class_accuracy.items())]
-    _write_rows(sum_path, ["metric", "value"], summary)
+    write_rows(sum_path, ["metric", "value"], summary)
     _write_manifest(out, "gesture eval", args.seed,
                     {"segmentation": asdict(seg_cfg)},
                     inputs=[args.corpus, args.model],
@@ -422,7 +389,7 @@ def _cmd_gesture(args, config: dict) -> int:
 
 
 def _cmd_speed(args, config: dict) -> int:
-    cfg = _speed_config(config)
+    cfg = _section(config, "speed", SpeedConfig)
     out = _out_dir(args)
     files = _collect_traces(args.traces)
 
@@ -450,11 +417,11 @@ def _cmd_speed(args, config: dict) -> int:
         alpha_path = Path(args.alpha_file) if args.alpha_file else out / "alpha.txt"
         speed.save_alpha(alpha_path, args.link_id, alpha)
         cal_path = out / "calibration.csv"
-        _write_rows(cal_path, ["file", "f_min_av_hz", "speed_mps"], rows)
+        write_rows(cal_path, ["file", "f_min_av_hz", "speed_mps"], rows)
         sum_path = out / "summary.csv"
-        _write_rows(sum_path, ["metric", "value"],
-                    [["alpha_m", alpha], ["fit_rmse_mps", residual],
-                     ["n_points", len(points)]])
+        write_rows(sum_path, ["metric", "value"],
+                   [["alpha_m", alpha], ["fit_rmse_mps", residual],
+                    ["n_points", len(points)]])
         outputs = [cal_path, sum_path]
         if alpha_path.resolve().is_relative_to(out.resolve()):
             outputs.append(alpha_path)
@@ -490,15 +457,15 @@ def _cmd_speed(args, config: dict) -> int:
             if truth is not None:
                 errors.append(event.v_hat_mps - truth)
     ev_path = out / "events.csv"
-    _write_rows(ev_path,
-                ["file", "status", "t_cross_s", "f_min_av_hz", "v_hat_mps",
-                 "gt_speed_mps"], rows)
+    write_rows(ev_path,
+               ["file", "status", "t_cross_s", "f_min_av_hz", "v_hat_mps",
+                "gt_speed_mps"], rows)
     summary = [["alpha_m", alpha], ["n_traces", len(files)],
                ["n_crossings", sum(r[1] == "ok" for r in rows)]]
     if errors:
-        summary.append(["rmse_mps", float(np.sqrt(np.mean(np.square(errors))))])
+        summary.append(["rmse_mps", rmse(errors)])
     sum_path = out / "summary.csv"
-    _write_rows(sum_path, ["metric", "value"], summary)
+    write_rows(sum_path, ["metric", "value"], summary)
     _write_manifest(out, "speed estimate", args.seed,
                     {"speed": asdict(cfg), "link_id": args.link_id},
                     inputs=[str(p) for p in files], outputs=[ev_path, sum_path])

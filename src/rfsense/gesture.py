@@ -418,17 +418,37 @@ def _state_to_json(model: TrainedModel):
             "n_features": s.n_features}
 
 
-def _state_from_json(kind: str, blob):
-    if kind == "knn":
-        return _clf.KnnModel(k=blob["k"], points=np.asarray(blob["points"]),
-                             labels=np.asarray(blob["labels"], dtype=np.int64),
-                             n_classes=blob["n_classes"])
-    if kind == "linear_svm":
-        return _clf.LinearSvmModel(weights=np.asarray(blob["weights"]),
-                                   n_classes=blob["n_classes"])
-    return _clf.RandomForestModel(trees=tuple(blob["trees"]),
-                                  n_classes=blob["n_classes"],
-                                  n_features=blob["n_features"])
+def _state_from_json(kind: str, blob: dict, n_features: int, path):
+    """Classifier state from its JSON object. A missing key, a count that is
+    not an int, or a matrix of the wrong shape raises ValueError naming
+    `path`, so that classify never meets it."""
+    def need(key: str, ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"{path}: model state {key!r} is not {what}")
+
+    try:
+        need("n_classes", _is_int(blob["n_classes"]), "an integer")
+        if kind == "knn":
+            need("k", _is_int(blob["k"]), "an integer")
+            need("points", _is_matrix(blob["points"], n_features),
+                 f"a matrix of numbers with {n_features} columns")
+            need("labels", _list_of(blob["labels"], int)
+                 and len(blob["labels"]) == len(blob["points"]),
+                 "a list of integers, one per point")
+            return _clf.KnnModel(k=blob["k"], points=np.asarray(blob["points"]),
+                                 labels=np.asarray(blob["labels"], dtype=np.int64),
+                                 n_classes=blob["n_classes"])
+        if kind == "linear_svm":
+            need("weights", _is_matrix(blob["weights"], n_features + 1),
+                 f"a matrix of numbers with {n_features + 1} columns")
+            return _clf.LinearSvmModel(weights=np.asarray(blob["weights"]),
+                                       n_classes=blob["n_classes"])
+        need("n_features", _is_int(blob["n_features"]), "an integer")
+        return _clf.RandomForestModel(trees=tuple(blob["trees"]),
+                                      n_classes=blob["n_classes"],
+                                      n_features=blob["n_features"])
+    except KeyError as e:
+        raise ValueError(f"{path}: model state lacks key {e}") from None
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -456,6 +476,17 @@ def _list_of(value, types) -> bool:
         isinstance(v, types) and not isinstance(v, bool) for v in value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_matrix(value, width: int) -> bool:
+    """True for a non-empty JSON array of number arrays, each `width` long."""
+    return (isinstance(value, list) and len(value) > 0
+            and all(_list_of(row, (int, float)) and len(row) == width
+                    for row in value))
+
+
 def load_model(path) -> TrainedModel:
     """Read a model written by save_model; a malformed file raises ValueError."""
     with open(path, encoding="utf-8") as fh:
@@ -478,10 +509,7 @@ def load_model(path) -> TrainedModel:
             raise ValueError(f"{path}: model {key!r} is not a list of numbers")
     if doc["kind"] not in CLASSIFIER_KINDS:
         raise ValueError(f"{path}: unknown classifier kind {doc['kind']!r}")
-    try:
-        state = _state_from_json(doc["kind"], doc["state"])
-    except KeyError as e:
-        raise ValueError(f"{path}: model state lacks key {e}") from None
+    state = _state_from_json(doc["kind"], doc["state"], len(doc["layout"]), path)
     return TrainedModel(
         kind=doc["kind"],
         hyperparameters=doc["hyperparameters"],

@@ -31,6 +31,9 @@ STATUS_ESTIMATE = "estimate"
 STATUS_SUPPRESSED = "suppressed_motion"
 STATUS_INSUFFICIENT = "insufficient_data"
 
+# motion-suppression threshold over the median quiescent peak
+_THRESHOLD_MARGIN = 10.0
+
 
 @dataclass(frozen=True)
 class HeartRateConfig:
@@ -169,19 +172,17 @@ def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
     return out
 
 
-def calibrate_threshold(quiet_trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
-                        factor: float = 10.0) -> float:
+def calibrate_threshold(quiet_trace: RssTrace,
+                        cfg: HeartRateConfig = HeartRateConfig()) -> float:
     """Motion-suppression threshold from an artifact-free reference trace.
 
-    Returns `factor` times the median windowed peak of the summed PSD; gross
-    motion exceeds quiescent peaks by orders of magnitude, so the default
-    margin is safe on both sides.
+    Returns ten times the median windowed peak of the summed PSD; gross
+    motion exceeds quiescent peaks by orders of magnitude, so that margin
+    is safe on both sides.
     """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
     base = replace(cfg, psd_threshold=None)
     peaks = [e.peak_power for e in stream_heart_rate(quiet_trace, base)
              if e.status == STATUS_ESTIMATE]
     if not peaks:
         raise ValueError("reference trace too short for a single window")
-    return factor * float(np.median(peaks))
+    return _THRESHOLD_MARGIN * float(np.median(peaks))

@@ -9,6 +9,7 @@ and its depth scales with walking speed through a per-link constant alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,6 +18,9 @@ from .dsp import HampelConfig, hampel_filter, moving_average, spectrogram
 from .trace import RssTrace
 
 ALPHA_SIDECAR_MAGIC = "# rfsense-alpha-v1"
+# a crossing is a drop of the smoothed f_av below this fraction of its
+# quiescent median
+_QUIET_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ def detect_crossing(times: np.ndarray, f_av: np.ndarray, cfg: SpeedConfig
         raise ValueError("empty series")
     thr = cfg.crossing_threshold_hz
     if thr is None:
-        thr = 0.5 * float(np.median(f_av))
+        thr = _QUIET_FRACTION * float(np.median(f_av))
     below = np.flatnonzero(f_av < thr)
     if len(below) == 0:
         return None
@@ -118,20 +122,17 @@ def estimate_speed(trace: RssTrace, cfg: SpeedConfig,
     )
 
 
-def calibrate_crossing_threshold(quiet_trace: RssTrace, cfg: SpeedConfig,
-                                 factor: float = 0.5) -> float:
-    """Crossing threshold from a quiescent recording: factor times the
-    median smoothed average frequency of an empty scene.
+def calibrate_crossing_threshold(quiet_trace: RssTrace, cfg: SpeedConfig) -> float:
+    """Crossing threshold from a quiescent recording: half the median
+    smoothed average frequency of an empty scene.
 
     The per-trace fallback inside detect_crossing assumes the trace is
     mostly quiet; a slow walker keeps the whole recording fade-dominated
     and defeats it, so batch evaluation should calibrate once against a
     genuinely empty scene and pass the result in the config.
     """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
     _, f_av = _smoothed_f_av(quiet_trace, cfg)
-    thr = factor * float(np.median(f_av))
+    thr = _QUIET_FRACTION * float(np.median(f_av))
     if thr <= 0:
         raise ValueError("quiescent reference has zero median f_av")
     return thr
@@ -188,15 +189,25 @@ def load_alpha(path, link_id: str) -> float:
 
 
 def _read_alpha_lines(path):
+    """(link_id, alpha) per entry; a malformed line, or an alpha that is not
+    a finite positive number, raises ValueError naming `path:line`."""
     with open(path) as fh:
         first = fh.readline().rstrip("\n")
         if first != ALPHA_SIDECAR_MAGIC:
-            raise ValueError(f"not an alpha sidecar: leading line {first!r}")
-        for line in fh:
+            raise ValueError(f"{path}:1: not an alpha sidecar: leading line {first!r}")
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
             key, _, tail = line.partition(",")
             if not tail.startswith("alpha="):
-                raise ValueError(f"malformed sidecar line {line!r}")
-            yield key, float(tail[len("alpha="):])
+                raise ValueError(f"{path}:{lineno}: malformed sidecar line {line!r}")
+            text = tail[len("alpha="):]
+            try:
+                alpha = float(text)
+            except ValueError:
+                alpha = math.nan
+            if not (math.isfinite(alpha) and alpha > 0):
+                raise ValueError(f"{path}:{lineno}: alpha must be a finite positive "
+                                 f"number, not {text!r}")
+            yield key, alpha

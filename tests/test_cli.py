@@ -121,6 +121,68 @@ class TestVersionAndParsing:
         assert rc == 2
 
 
+class TestConfigValues:
+    """Each config value is checked against its field's type: exit 2 with a
+    named error, never a traceback or a silently non-finite setting."""
+
+    def command(self, section, vitals_dir, calibrated, crossing_files, tmp_path):
+        if section == "heart":
+            return ["heartrate", str(vitals_dir / "vitals.csv"), "-o", str(tmp_path)]
+        return ["speed", "estimate", str(crossing_files[1]),
+                "--alpha-file", str(calibrated / "alpha.txt"), "-o", str(tmp_path)]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("heart", "hampel", {"half_window": 2.5}),
+        ("heart", "hampel", None),
+        ("heart", "psd_threshold", float("nan")),
+        ("speed", "nfft", 4096.5),
+        ("speed", "smoothing_window", 2.5),
+        ("speed", "crossing_threshold_hz", float("nan")),
+        ("speed", "window_s", True),
+        ("speed", "hampel", 3),
+    ])
+    def test_wrong_value_type_exits_2_naming_the_field(
+            self, section, key, value, vitals_dir, calibrated, crossing_files,
+            tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        args = self.command(section, vitals_dir, calibrated, crossing_files,
+                            tmp_path / "out")
+        assert run(args + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {section}.{key}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("window", ["inf", "nan", "0.5"])
+    def test_bad_window_flag_exits_2(self, window, vitals_dir, tmp_path, capsys):
+        rc = run(["heartrate", str(vitals_dir / "vitals.csv"), "--window", window,
+                  "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad heart") and "Traceback" not in err
+
+    def test_section_that_is_not_an_object_exits_2(self, vitals_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"heart": [20.0]}))
+        rc = run(["heartrate", str(vitals_dir / "vitals.csv"), "--config", str(cfg),
+                  "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad heart config: need a JSON object")
+
+    @pytest.mark.parametrize("section, fields", [
+        ("heart", {"window_s": 20, "psd_threshold": None}),
+        ("speed", {"hampel": None, "crossing_threshold_hz": None, "nfft": 2048}),
+    ])
+    def test_ints_for_floats_and_null_where_allowed(
+            self, section, fields, vitals_dir, calibrated, crossing_files, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: fields}))
+        args = self.command(section, vitals_dir, calibrated, crossing_files,
+                            tmp_path / "out")
+        assert run(args + ["--config", str(cfg)]) == 0
+
+
 class TestSimulate:
     def test_vitals_outputs(self, vitals_dir):
         trace = load_trace(vitals_dir / "vitals.csv")
@@ -342,6 +404,23 @@ class TestGesture:
         assert "Traceback" not in err
 
 
+    def test_classify_with_string_k_exits_1(self, gesture_corpus, tmp_path, capsys):
+        train, test, seg_cfg = gesture_corpus
+        assert run(["gesture", "train", str(train), "--kind", "knn",
+                    "--config", str(seg_cfg), "-o", str(tmp_path / "model")]) == 0
+        model = tmp_path / "model" / "model.json"
+        doc = json.loads(model.read_text())
+        doc["state"]["k"] = "3"
+        model.write_text(json.dumps(doc))
+        rc = run(["gesture", "classify", "--trace", str(test / "punch_0.csv"),
+                  "--model", str(model), "--config", str(seg_cfg),
+                  "-o", str(tmp_path / "cls")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: model state 'k' is not an integer")
+        assert "Traceback" not in err
+
+
 class TestSpeed:
     def test_calibrate_outputs(self, calibrated):
         alpha_lines = (calibrated / "alpha.txt").read_text().splitlines()
@@ -403,6 +482,19 @@ class TestSpeed:
         rc = run(["speed", "calibrate", str(crossing_files[0]),
                   "--config", str(link_config), "-o", str(tmp_path)])
         assert rc == 2
+
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-1.5", "0", "abc"])
+    def test_bad_alpha_exits_1_naming_the_line(self, crossing_files, text,
+                                               tmp_path, capsys):
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text(f"# rfsense-alpha-v1\nother,alpha=1.5\ndefault,alpha={text}\n")
+        rc = run(["speed", "estimate", str(crossing_files[1]),
+                  "--alpha-file", str(alpha), "-o", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {alpha}:3: alpha must be a finite positive")
+        assert "Traceback" not in err
 
 
 class TestTables:

@@ -343,6 +343,31 @@ class TestPersistence:
                            match=f"{re.escape(str(path))}: model '{key}' is not {kind}"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind, key, value, what", [
+        ("knn", "k", "3", "an integer"),
+        ("knn", "k", True, "an integer"),
+        ("knn", "n_classes", 8.0, "an integer"),
+        ("knn", "points", [], "a matrix of numbers with 2 columns"),
+        ("knn", "points", [[0.0]], "a matrix of numbers with 2 columns"),
+        ("knn", "points", [[0.0, "x"]], "a matrix of numbers with 2 columns"),
+        ("knn", "points", [0.0, 1.0], "a matrix of numbers with 2 columns"),
+        ("knn", "labels", ["0"], "a list of integers, one per point"),
+        ("knn", "labels", [0], "a list of integers, one per point"),
+        ("linear_svm", "weights", [[1.0, 2.0]], "a matrix of numbers with 3 columns"),
+        ("linear_svm", "n_classes", "8", "an integer"),
+        ("random_forest", "n_features", 2.5, "an integer"),
+        ("random_forest", "n_classes", False, "an integer"),
+    ])
+    def test_wrong_state_names_file_and_key(self, kind, key, value, what, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train(blob_dataset(seed=14, per_class=4), kind), path)
+        doc = json.loads(path.read_text())
+        doc["state"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: model state "
+                                             f"'{key}' is not {what}"):
+            load_model(path)
+
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format_version": 99, "kind": "knn"}')

@@ -135,14 +135,14 @@ def drift_trace():
 
 class TestSuppression:
     def test_calibrated_threshold_passes_quiet_windows(self, quiet_trace):
-        thd = calibrate_threshold(quiet_trace, CFG, factor=10.0)
+        thd = calibrate_threshold(quiet_trace, CFG)
         cfg = HeartRateConfig(psd_threshold=thd)
         ests = stream_heart_rate(quiet_trace, cfg)
         usable = [e for e in ests if e.status != "insufficient_data"]
         assert usable and all(e.status == "estimate" for e in usable)
 
     def test_motion_artifact_suppressed(self, quiet_trace):
-        thd = calibrate_threshold(quiet_trace, CFG, factor=10.0)
+        thd = calibrate_threshold(quiet_trace, CFG)
         cfg = HeartRateConfig(psd_threshold=thd)
         rss = quiet_trace.rss_db[: cfg.window_samples].copy()
         t = np.arange(len(rss)) / FS

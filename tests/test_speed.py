@@ -252,10 +252,6 @@ class TestThresholdCalibration:
         # white noise pushes the centroid near half-Nyquist; half of that
         assert 0.35 * (FS / 4) < thr < 0.65 * (FS / 4)
 
-    def test_factor_validation(self, quiet_trace):
-        with pytest.raises(ValueError):
-            calibrate_crossing_threshold(quiet_trace, SpeedConfig(), factor=0.0)
-
 
 class TestSerialization:
     def test_alpha_round_trip_multi_link(self, tmp_path):
