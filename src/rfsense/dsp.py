@@ -72,46 +72,47 @@ def _kept(xc: np.ndarray, med: np.ndarray, y_a: np.ndarray, y_b: np.ndarray,
     return np.abs(xc - med) <= cfg.n_sigmas * MAD_SCALE * lb
 
 
-def _left_edge_hampel(x: np.ndarray, cfg: HampelConfig) -> np.ndarray:
-    """Hampel output for x[:k], whose windows x[:i + k + 1] are shrunken.
+def _left_edge_hampel(heads: np.ndarray, cfg: HampelConfig) -> np.ndarray:
+    """Hampel output for h[:k] of each row h of heads, whose windows h[:i + k + 1]
+    are shrunken.
 
-    All k windows are prefixes of x[:2k], so one stable sort of x[:2k] lists
-    each window's sorted entries: those whose index lies inside it. That
-    gives each window's exact median and the MAD bound of _kept. The sort
-    orders +-inf exactly, and a window holding a NaN keeps its sample
-    whichever way the bound decides, so unlike the interior no window needs
-    routing by its values. Windows the bound cannot certify get their MAD
-    from a row-wise sort of their deviations, each row padded with +inf
-    beyond its window. Rows go in blocks to bound the memory.
+    heads has 2k columns. All k windows of a row are prefixes of it, so one
+    stable sort of each row lists each window's sorted entries: those whose
+    index lies inside it. That gives each window's exact median and the MAD
+    bound of _kept. The sort orders +-inf exactly, and a window holding a
+    NaN keeps its sample whichever way the bound decides, so unlike the
+    interior no window needs routing by its values. Windows the bound cannot
+    certify get their MAD from a row-wise sort of their deviations, each row
+    padded with +inf beyond its window. The windows of all rows, taken in
+    row-major order, go in blocks to bound the memory.
     """
     k = cfg.half_window
-    head = x[:2 * k]
     # the narrowest integer type holding the indices keeps the masks cheap
-    order = np.argsort(head, kind="stable").astype(np.min_scalar_type(2 * k))
-    ordered = head[order]
-    nan_count = np.cumsum(np.isnan(head))
-    out = x[:k].copy()
+    order = np.argsort(heads, axis=1, kind="stable").astype(np.min_scalar_type(2 * k))
+    ordered = np.take_along_axis(heads, order, axis=1)
+    nan_count = np.cumsum(np.isnan(heads), axis=1)
+    out = heads[:, :k].copy()
     step = max(1, _BLOCK // (2 * k))
-    for lo in range(0, k, step):
-        i = np.arange(lo, min(lo + step, k))
+    for lo in range(0, out.size, step):
+        r, i = np.divmod(np.arange(lo, min(lo + step, out.size)), k)
         m = i + k + 1  # window lengths
-        # flat positions of each window's entries, row by row, in sorted order
-        pos = np.flatnonzero(order < m.astype(order.dtype)[:, None])
+        # flat positions of each window's entries, window by window, in sorted order
+        pos = np.flatnonzero(order[r] < m.astype(order.dtype)[:, None])
         first = np.cumsum(m) - m  # where each window's entries start in pos
         p = (m - 1) // 2
         ranks = np.stack((p, m // 2, *_screen_ranks(p)))
-        y_lo, y_hi, y_a, y_b = ordered[pos[first + ranks] % (2 * k)]
+        y_lo, y_hi, y_a, y_b = ordered[r, pos[first + ranks] % (2 * k)]
         med = _middle(y_lo, y_hi, m)
-        exact = ~_kept(out[i], med, y_a, y_b, cfg)
+        exact = ~_kept(out[r, i], med, y_a, y_b, cfg)
         if not exact.any():
             continue
-        i, m, med = i[exact], m[exact], med[exact]
+        r, i, m, med = r[exact], i[exact], m[exact], med[exact]
         inside = np.arange(m.max()) < m[:, None]
-        dev = np.where(inside, np.abs(head[:m.max()] - med[:, None]), np.inf)
+        dev = np.where(inside, np.abs(heads[r, :m.max()] - med[:, None]), np.inf)
         dev.sort(axis=1)
-        r = np.arange(len(i))
-        mad = _middle(dev[r, (m - 1) // 2], dev[r, m // 2], m)
-        out[i] = _decide(out[i], med, mad, nan_count[m - 1] == 0, cfg)
+        j = np.arange(len(r))
+        mad = _middle(dev[j, (m - 1) // 2], dev[j, m // 2], m)
+        out[r, i] = _decide(out[r, i], med, mad, nan_count[r, m - 1] == 0, cfg)
     return out
 
 
@@ -128,14 +129,21 @@ def _decide(xc: np.ndarray, med: np.ndarray, mad: np.ndarray, nan_free: np.ndarr
     return np.where(bad, med, xc)
 
 
-def _shrunken_edges_hampel(x: np.ndarray, out: np.ndarray, cfg: HampelConfig) -> None:
-    """Write the Hampel output of the first and last half_window samples."""
+def _shrunken_edges(x: np.ndarray, starts: np.ndarray, length: int,
+                    cfg: HampelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Hampel output of the first and last half_window samples of each slice
+    x[s:s + length], s in starts, as two arrays of one row per slice.
+
+    The window median and MAD do not depend on sample order, so a right edge
+    is the left edge of the reversed slice: the left heads and the reversed
+    right heads go through one _left_edge_hampel pass.
+    """
     k = cfg.half_window
+    heads = np.lib.stride_tricks.sliding_window_view(x, 2 * k)
+    both = np.concatenate((heads[starts], heads[starts + length - 2 * k, ::-1]))
     with np.errstate(invalid="ignore", over="ignore"):
-        out[:k] = _left_edge_hampel(x, cfg)
-        # The window median and MAD do not depend on sample order, so the
-        # right edge is the left edge of the reversed series.
-        out[len(x) - k:] = _left_edge_hampel(x[::-1], cfg)[::-1]
+        edges = _left_edge_hampel(both, cfg)
+    return edges[:len(starts)], edges[len(starts):, ::-1]
 
 
 def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
@@ -196,25 +204,30 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
             part.partition(k, axis=1)
             mad = part[:, k]
             out[j + k] = _decide(x[j + k], med, mad, window_nans[j] == 0, cfg)
-    _shrunken_edges_hampel(x, out, cfg)
+    left, right = _shrunken_edges(x, np.zeros(1, dtype=np.intp), n, cfg)
+    out[:k], out[n - k:] = left[0], right[0]
     return out
 
 
-def hampel_refresh_edges(x: np.ndarray, full: np.ndarray, start: int, stop: int,
+def hampel_refresh_edges(x: np.ndarray, full: np.ndarray, starts, length: int,
                          cfg: HampelConfig) -> np.ndarray:
-    """Hampel output for the slice x[start:stop], given `full` = hampel(x).
+    """Hampel output for the slices x[s:s + length], s in starts, given
+    `full` = hampel_filter(x, cfg); one row per slice.
 
-    Interior samples of the slice see exactly the same window either way, so
-    only the first/last half_window samples need recomputing with shrunken
-    windows. Equivalent to hampel_filter(x[start:stop], cfg), cheaper when
-    slices overlap heavily.
+    Interior samples of a slice see exactly the same window either way, so
+    only the first/last half_window samples of each slice need recomputing
+    with shrunken windows, all slices in one pass. Row j equals
+    hampel_filter(x[starts[j]:starts[j] + length], cfg), cheaper when slices
+    overlap heavily.
     """
     k = cfg.half_window
-    seg = x[start:stop]
-    if len(seg) < 2 * k + 1:
+    starts = np.asarray(starts, dtype=np.intp)
+    if length < 2 * k + 1:
         raise ValueError("slice shorter than the filter window")
-    out = full[start:stop].copy()
-    _shrunken_edges_hampel(seg, out, cfg)
+    if len(starts) and (starts.min() < 0 or starts.max() > len(x) - length):
+        raise ValueError("slice outside the series")
+    out = np.lib.stride_tricks.sliding_window_view(full, length)[starts]
+    out[:, :k], out[:, length - k:] = _shrunken_edges(x, starts, length, cfg)
     return out
 
 
@@ -248,7 +261,8 @@ class IirFilter:
 
 
 def filter_forward(filt: IirFilter, x) -> np.ndarray:
-    """Causal cascade of `filt` over x, starting at rest."""
+    """Causal cascade of `filt` over x, starting at rest; a 2-D x is filtered
+    row by row."""
     return sosfilt(filt.sos, np.asarray(x, dtype=np.float64))
 
 
@@ -391,22 +405,24 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, (int(n) - 1)).bit_length()
 
 
-def _psd_rows(rows: np.ndarray, fs: float, nfft: int, hann: np.ndarray) -> np.ndarray:
-    """One-sided periodogram power of each row of a 2-D block.
+def _psd_rows(rows: np.ndarray, fs: float, nfft: int, hann: np.ndarray,
+              bins=slice(None)) -> np.ndarray:
+    """One-sided periodogram power of each row of a 2-D block, at `bins`.
 
     Each row is mean-removed, multiplied by `hann` and zero-padded to nfft.
-    Every step is row-wise, so a row's power does not depend on the rest of
-    the block.
+    Every step is row-wise and the fold and scale are elementwise, so a
+    row's power at a bin depends neither on the rest of the block nor on
+    which other bins are read.
     """
     n = rows.shape[1]
     y = (rows - rows.mean(axis=1, keepdims=True)) * hann
-    power = np.abs(np.fft.rfft(y, nfft, axis=1)) ** 2
+    power = np.abs(np.fft.rfft(y, nfft, axis=1)[:, bins]) ** 2
     # One-sided fold: interior bins carry the conjugate half too.
-    weights = np.full(power.shape[1], 2.0)
+    weights = np.full(nfft // 2 + 1, 2.0)
     weights[0] = 1.0
     if nfft % 2 == 0:
         weights[-1] = 1.0
-    power *= weights / (n * fs)
+    power *= weights[bins] / (n * fs)
     return power
 
 

@@ -12,6 +12,7 @@ classifiers (KNN, linear SVM, random forest).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -420,14 +421,18 @@ def _state_to_json(model: TrainedModel):
 
 def _state_from_json(kind: str, blob: dict, n_features: int, path):
     """Classifier state from its JSON object. A missing key, a count that is
-    not an int, or a matrix of the wrong shape raises ValueError naming
-    `path`, so that classify never meets it."""
+    not an int, a matrix of the wrong shape, a class id out of range or a
+    malformed tree raises ValueError naming `path`, so that classify never
+    meets it."""
     def need(key: str, ok: bool, what: str) -> None:
         if not ok:
             raise ValueError(f"{path}: model state {key!r} is not {what}")
 
     try:
-        need("n_classes", _is_int(blob["n_classes"]), "an integer")
+        n_classes = blob["n_classes"]
+        need("n_classes", _is_int(n_classes), "an integer")
+        need("n_classes", n_classes == len(GESTURE_LABELS),
+             f"{len(GESTURE_LABELS)}, one class per gesture label")
         if kind == "knn":
             need("k", _is_int(blob["k"]), "an integer")
             need("points", _is_matrix(blob["points"], n_features),
@@ -435,17 +440,25 @@ def _state_from_json(kind: str, blob: dict, n_features: int, path):
             need("labels", _list_of(blob["labels"], int)
                  and len(blob["labels"]) == len(blob["points"]),
                  "a list of integers, one per point")
+            need("labels", all(0 <= v < n_classes for v in blob["labels"]),
+                 f"a list of class ids in [0, {n_classes})")
             return _clf.KnnModel(k=blob["k"], points=np.asarray(blob["points"]),
                                  labels=np.asarray(blob["labels"], dtype=np.int64),
-                                 n_classes=blob["n_classes"])
+                                 n_classes=n_classes)
         if kind == "linear_svm":
             need("weights", _is_matrix(blob["weights"], n_features + 1),
                  f"a matrix of numbers with {n_features + 1} columns")
+            need("weights", len(blob["weights"]) == n_classes,
+                 f"a matrix with {n_classes} rows, one per class")
             return _clf.LinearSvmModel(weights=np.asarray(blob["weights"]),
-                                       n_classes=blob["n_classes"])
+                                       n_classes=n_classes)
         need("n_features", _is_int(blob["n_features"]), "an integer")
+        need("trees", isinstance(blob["trees"], list) and len(blob["trees"]) > 0
+             and all(_is_tree(t, n_features, n_classes) for t in blob["trees"]),
+             f"a non-empty list of trees with leaves in [0, {n_classes}) "
+             f"and split features in [0, {n_features})")
         return _clf.RandomForestModel(trees=tuple(blob["trees"]),
-                                      n_classes=blob["n_classes"],
+                                      n_classes=n_classes,
                                       n_features=blob["n_features"])
     except KeyError as e:
         raise ValueError(f"{path}: model state lacks key {e}") from None
@@ -487,6 +500,31 @@ def _is_matrix(value, width: int) -> bool:
                     for row in value))
 
 
+def _is_tree(tree, n_features: int, n_classes: int) -> bool:
+    """True for a decision tree as forest_fit grows it: every node is a leaf
+    {"leaf": class id} or a split {"feature": feature index, "threshold":
+    finite number, "left": node, "right": node}. The walk keeps its own
+    stack, so a deep tree cannot exhaust the interpreter's recursion limit."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict):
+            return False
+        if node.keys() == {"leaf"}:
+            if not (_is_int(node["leaf"]) and 0 <= node["leaf"] < n_classes):
+                return False
+        elif node.keys() == {"feature", "threshold", "left", "right"}:
+            thr = node["threshold"]
+            if not (_is_int(node["feature"]) and 0 <= node["feature"] < n_features
+                    and isinstance(thr, (int, float)) and not isinstance(thr, bool)
+                    and math.isfinite(thr)):
+                return False
+            stack += (node["left"], node["right"])
+        else:
+            return False
+    return True
+
+
 def load_model(path) -> TrainedModel:
     """Read a model written by save_model; a malformed file raises ValueError."""
     with open(path, encoding="utf-8") as fh:
@@ -507,6 +545,9 @@ def load_model(path) -> TrainedModel:
     for key in ("feature_mean", "feature_scale"):
         if not _list_of(doc[key], (int, float)):
             raise ValueError(f"{path}: model {key!r} is not a list of numbers")
+        if len(doc[key]) != len(doc["layout"]):
+            raise ValueError(f"{path}: model {key!r} has {len(doc[key])} entries "
+                             f"for {len(doc['layout'])} layout entries")
     if doc["kind"] not in CLASSIFIER_KINDS:
         raise ValueError(f"{path}: unknown classifier kind {doc['kind']!r}")
     state = _state_from_json(doc["kind"], doc["state"], len(doc["layout"]), path)

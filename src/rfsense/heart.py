@@ -16,14 +16,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dsp import (
+    _BLOCK,
     HampelConfig,
     IirFilter,
+    _frequencies,
+    _psd_rows,
     butterworth_bandpass,
     filter_forward,
     hampel_filter,
     hampel_refresh_edges,
     next_pow2,
-    periodogram,
 )
 from .trace import DEFAULT_SAMPLE_RATE_HZ, RssTrace
 
@@ -33,6 +35,12 @@ STATUS_INSUFFICIENT = "insufficient_data"
 
 # motion-suppression threshold over the median quiescent peak
 _THRESHOLD_MARGIN = 10.0
+
+# Padded samples (rows x nfft) per block of stream windows. A block holds
+# about four arrays of that size (the windows, their filtered and tapered
+# copies, and the complex transform), so a quarter of dsp._BLOCK keeps it
+# near that memory budget: 16 rows at nfft = 65,536.
+_BLOCK_SAMPLES = _BLOCK // 4
 
 
 @dataclass(frozen=True)
@@ -88,34 +96,39 @@ class HeartRateEstimate:
             raise ValueError("bpm must be present exactly when status is estimate")
 
 
-def _band_psd(filtered: np.ndarray, cfg: HeartRateConfig,
-              second_harmonic: bool) -> tuple[np.ndarray, np.ndarray]:
-    psd = periodogram(filtered, cfg.sample_rate_hz, nfft=cfg.nfft)
-    f = psd.frequencies
-    k0 = int(np.searchsorted(f, cfg.f_min_hz, side="left"))
-    k1 = int(np.searchsorted(f, cfg.f_max_hz, side="right")) - 1
-    k = np.arange(k0, k1 + 1)
-    summed = psd.power[k]
-    if second_harmonic:
-        # power-of-two nfft puts 2 f_k exactly on the grid at index 2k
-        summed = summed + psd.power[2 * k]
-    return f[k], summed
-
-
 def _bandpass(cfg: HeartRateConfig) -> IirFilter:
     return butterworth_bandpass(cfg.bandpass_order, cfg.bandpass_low_hz,
                                 cfg.bandpass_high_hz, cfg.sample_rate_hz)
 
 
-def _estimate_filtered(window: np.ndarray, bp: IirFilter, cfg: HeartRateConfig,
-                       time_s: float, second_harmonic: bool) -> HeartRateEstimate:
-    filtered = filter_forward(bp, window - np.mean(window))
-    freqs, summed = _band_psd(filtered, cfg, second_harmonic)
-    peak = float(np.max(summed))
-    if cfg.psd_threshold is not None and peak >= cfg.psd_threshold:
-        return HeartRateEstimate(time_s, None, peak, STATUS_SUPPRESSED)
-    bpm = 60.0 * float(freqs[int(np.argmax(summed))])
-    return HeartRateEstimate(time_s, bpm, peak, STATUS_ESTIMATE)
+def _score(windows: np.ndarray, times, bp: IirFilter, cfg: HeartRateConfig,
+           second_harmonic: bool) -> list[HeartRateEstimate]:
+    """Estimates for Hampel-filtered windows, one per row, stamped `times`.
+
+    Each row is mean-removed, bandpassed and transformed to its zero-padded
+    periodogram, of which only the band bins (and, with second_harmonic,
+    their harmonics) are folded and scaled. Every step is row-wise, so a
+    row's estimate does not depend on the rest of the block.
+    """
+    fs = cfg.sample_rate_hz
+    f = _frequencies(cfg.nfft, fs)
+    k0 = int(np.searchsorted(f, cfg.f_min_hz, side="left"))
+    k1 = int(np.searchsorted(f, cfg.f_max_hz, side="right")) - 1
+    k = np.arange(k0, k1 + 1)
+    # power-of-two nfft puts 2 f_k exactly on the grid at index 2k
+    read = np.concatenate((k, 2 * k)) if second_harmonic else k
+    filtered = filter_forward(bp, windows - windows.mean(axis=1, keepdims=True))
+    power = _psd_rows(filtered, fs, cfg.nfft, np.hanning(windows.shape[1]), read)
+    summed = power[:, :len(k)] + power[:, len(k):] if second_harmonic else power
+    out = []
+    for t, peak, best in zip(times, summed.max(axis=1), summed.argmax(axis=1)):
+        peak = float(peak)
+        if cfg.psd_threshold is not None and peak >= cfg.psd_threshold:
+            out.append(HeartRateEstimate(t, None, peak, STATUS_SUPPRESSED))
+        else:
+            out.append(HeartRateEstimate(t, 60.0 * float(f[k[best]]), peak,
+                                         STATUS_ESTIMATE))
+    return out
 
 
 def estimate_window(window_rss: np.ndarray, cfg: HeartRateConfig = HeartRateConfig(),
@@ -123,12 +136,16 @@ def estimate_window(window_rss: np.ndarray, cfg: HeartRateConfig = HeartRateConf
     """One heart-rate estimate from a trailing window of raw RSS.
 
     With second_harmonic=False the fundamental is scored alone (the baseline).
+    This is the one-row case of the scorer stream_heart_rate runs on blocks
+    of windows, so the two agree bit for bit.
     """
     window_rss = np.asarray(window_rss, dtype=np.float64)
     if len(window_rss) < cfg.window_samples:
         return HeartRateEstimate(time_s, None, 0.0, STATUS_INSUFFICIENT)
+    if len(window_rss) > cfg.nfft:
+        raise ValueError(f"nfft={cfg.nfft} shorter than the window ({len(window_rss)})")
     w = hampel_filter(window_rss, cfg.hampel)
-    return _estimate_filtered(w, _bandpass(cfg), cfg, time_s, second_harmonic)
+    return _score(w[None, :], [time_s], _bandpass(cfg), cfg, second_harmonic)[0]
 
 
 def estimate_window_single_harmonic(window_rss: np.ndarray,
@@ -143,9 +160,11 @@ def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
     """Trailing-window estimates every update period, stamped at window end.
 
     The trace must be sampled at cfg.sample_rate_hz. The Hampel filter runs
-    once over the whole trace; per-window results are kept bit-identical to
-    filtering each window in isolation by recomputing the window-edge
-    regions, where the filter's shrunken context differs.
+    once over the whole trace, and the full windows go in blocks of rows:
+    one call refreshes the window-edge regions of a block, where the
+    filter's shrunken context differs, and one filter and one transform
+    serve all its rows. Each estimate stays bit-identical to
+    estimate_window on that window in isolation.
     """
     fs = cfg.sample_rate_hz
     if trace.metadata.sample_rate_hz != fs:
@@ -154,21 +173,25 @@ def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
     n = len(trace)
     n_win = cfg.window_samples
     full = hampel_filter(trace.rss_db, cfg.hampel)
-    bp = _bandpass(cfg)
-    out = []
+    times, ends = [], []
     k = 1
     while True:
         t_end = k * cfg.update_period_s
         end = int(round(t_end * fs))
         if end > n:
             break
-        start = end - n_win
-        if start < 0:
-            out.append(HeartRateEstimate(t_end, None, 0.0, STATUS_INSUFFICIENT))
-        else:
-            w = hampel_refresh_edges(trace.rss_db, full, start, end, cfg.hampel)
-            out.append(_estimate_filtered(w, bp, cfg, t_end, second_harmonic))
+        times.append(t_end)
+        ends.append(end)
         k += 1
+    starts = np.asarray(ends, dtype=np.intp) - n_win
+    first = int(np.searchsorted(starts, 0))
+    out = [HeartRateEstimate(t, None, 0.0, STATUS_INSUFFICIENT) for t in times[:first]]
+    bp = _bandpass(cfg)
+    rows = max(1, _BLOCK_SAMPLES // cfg.nfft)
+    for lo in range(first, len(times), rows):
+        windows = hampel_refresh_edges(trace.rss_db, full, starts[lo:lo + rows],
+                                       n_win, cfg.hampel)
+        out.extend(_score(windows, times[lo:lo + rows], bp, cfg, second_harmonic))
     return out
 
 

@@ -420,6 +420,23 @@ class TestGesture:
         assert err.startswith(f"error: {model}: model state 'k' is not an integer")
         assert "Traceback" not in err
 
+    def test_classify_with_malformed_forest_tree_exits_1(self, gesture_corpus, tmp_path,
+                                                         capsys):
+        train, test, seg_cfg = gesture_corpus
+        assert run(["gesture", "train", str(train), "--kind", "random_forest",
+                    "--config", str(seg_cfg), "-o", str(tmp_path / "model")]) == 0
+        model = tmp_path / "model" / "model.json"
+        doc = json.loads(model.read_text())
+        doc["state"]["trees"][0] = {"feature": 0}
+        model.write_text(json.dumps(doc))
+        rc = run(["gesture", "classify", "--trace", str(test / "punch_0.csv"),
+                  "--model", str(model), "--config", str(seg_cfg),
+                  "-o", str(tmp_path / "cls")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: model state 'trees' is not")
+        assert "Traceback" not in err
+
 
 class TestSpeed:
     def test_calibrate_outputs(self, calibrated):

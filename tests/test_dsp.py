@@ -162,8 +162,9 @@ class TestHampel:
         slices = [(0, 500), (250, 1500), (2400, 3000)]
         for start, stop in slices:
             want = hampel_filter(x[start:stop], cfg)
-            got = hampel_refresh_edges(x, full, start, stop, cfg)
-            assert np.array_equal(got, want)
+            got = hampel_refresh_edges(x, full, [start], stop - start, cfg)
+            assert got.shape == (1, stop - start)
+            assert np.array_equal(got[0], want)
         # Non-finite samples just inside and just outside each slice's
         # shrunken edges, where the refreshed windows differ from the full.
         for pos in (3, 150, 260, 330, 1420, 1560, 2460, 2950):
@@ -171,8 +172,26 @@ class TestHampel:
         full = hampel_filter(x, cfg)
         for start, stop in slices:
             want = hampel_filter(x[start:stop], cfg)
-            got = hampel_refresh_edges(x, full, start, stop, cfg)
-            assert got.tobytes() == want.tobytes()
+            got = hampel_refresh_edges(x, full, [start], stop - start, cfg)
+            assert got[0].tobytes() == want.tobytes()
+        # One call over overlapping slices of one length, the first and the
+        # last touching the ends of the series.
+        length = 600
+        starts = [0, 1, 150, 199, 1400, 2250, 2399, 2400]
+        got = hampel_refresh_edges(x, full, starts, length, cfg)
+        assert got.shape == (len(starts), length)
+        for row, start in zip(got, starts):
+            assert row.tobytes() == hampel_filter(x[start:start + length], cfg).tobytes()
+
+    def test_refresh_edges_rejects_slices_off_the_series(self):
+        x = np.random.default_rng(4).normal(size=1000)
+        cfg = HampelConfig()
+        full = hampel_filter(x, cfg)
+        for starts in ([-1], [0, 501]):
+            with pytest.raises(ValueError, match="outside the series"):
+                hampel_refresh_edges(x, full, starts, 500, cfg)
+        with pytest.raises(ValueError, match="shorter than the filter window"):
+            hampel_refresh_edges(x, full, [0], 200, cfg)
 
     @pytest.mark.parametrize("block", [None, 7])
     @given(

@@ -368,6 +368,63 @@ class TestPersistence:
                                              f"'{key}' is not {what}"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind, key, value, what", [
+        ("knn", "n_classes", 7, "8, one class per gesture label"),
+        ("knn", "labels", None, r"a list of class ids in \[0, 8\)"),
+        ("linear_svm", "weights", [[1.0, 2.0, 3.0]], "a matrix with 8 rows, one per class"),
+    ])
+    def test_state_out_of_range_names_file_and_key(self, kind, key, value, what, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train(blob_dataset(seed=14, per_class=4), kind), path)
+        doc = json.loads(path.read_text())
+        if value is None:  # one label past the last class
+            doc["state"]["labels"][-1] = 8
+        else:
+            doc["state"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: model state "
+                                             f"'{key}' is not {what}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("trees", [
+        [],
+        {"leaf": 0},
+        [{"feature": 0}],
+        [{"leaf": 8}],
+        [{"leaf": -1}],
+        [{"leaf": True}],
+        [{"leaf": 1.0}],
+        [{"leaf": 0, "extra": 1}],
+        [{"feature": 2, "threshold": 0.5, "left": {"leaf": 0}, "right": {"leaf": 1}}],
+        [{"feature": 0, "threshold": "0.5", "left": {"leaf": 0}, "right": {"leaf": 1}}],
+        [{"feature": 0, "threshold": float("nan"), "left": {"leaf": 0},
+          "right": {"leaf": 1}}],
+        [{"feature": 0, "threshold": 0.5, "left": {"leaf": 0}, "right": [1]}],
+        [{"feature": 0, "threshold": 0.5, "left": {"leaf": 0},
+          "right": {"feature": 1, "threshold": 0.0, "left": {"leaf": 1},
+                    "right": {"leaf": 9}}}],
+    ])
+    def test_malformed_forest_trees_name_file(self, trees, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train(blob_dataset(seed=14, per_class=4), "random_forest"), path)
+        doc = json.loads(path.read_text())
+        doc["state"]["trees"] = trees
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: model state "
+                                             "'trees' is not a non-empty list of trees"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["feature_mean", "feature_scale"])
+    def test_standardization_length_must_match_layout(self, key, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train(blob_dataset(seed=14, per_class=4), "knn"), path)
+        doc = json.loads(path.read_text())
+        doc[key] = doc[key] + [1.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: model '{key}' "
+                                             "has 3 entries for 2 layout entries"):
+            load_model(path)
+
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format_version": 99, "kind": "knn"}')

@@ -1,12 +1,16 @@
 """Heart-rate estimator tests: grid-exact peak picking, harmonic
 superposition vs the single-harmonic baseline, motion suppression, and
-stream/window bit-equality."""
+stream/window bit-equality against a full-periodogram oracle."""
 
 import numpy as np
 import pytest
 
 from rfsense import heart
+from rfsense.dsp import butterworth_bandpass, filter_forward, hampel_filter, periodogram
 from rfsense.heart import (
+    STATUS_ESTIMATE,
+    STATUS_INSUFFICIENT,
+    STATUS_SUPPRESSED,
     HeartRateConfig,
     HeartRateEstimate,
     calibrate_threshold,
@@ -29,6 +33,34 @@ def tone_window(freq_hz: float, amp_db: float = 0.01, n: int | None = None,
     if extra is not None:
         x = x + extra(t)
     return x
+
+
+def oracle_estimate(window_rss, cfg, time_s, second_harmonic):
+    """One window scored from its full one-sided periodogram, read at the
+    band bins: the per-window scorer the block kernel replaced."""
+    if len(window_rss) < cfg.window_samples:
+        return HeartRateEstimate(time_s, None, 0.0, STATUS_INSUFFICIENT)
+    w = hampel_filter(window_rss, cfg.hampel)
+    bp = butterworth_bandpass(cfg.bandpass_order, cfg.bandpass_low_hz,
+                              cfg.bandpass_high_hz, cfg.sample_rate_hz)
+    psd = periodogram(filter_forward(bp, w - np.mean(w)), cfg.sample_rate_hz,
+                      nfft=cfg.nfft)
+    f = psd.frequencies
+    k0 = int(np.searchsorted(f, cfg.f_min_hz, side="left"))
+    k1 = int(np.searchsorted(f, cfg.f_max_hz, side="right")) - 1
+    k = np.arange(k0, k1 + 1)
+    summed = psd.power[k]
+    if second_harmonic:
+        summed = summed + psd.power[2 * k]
+    peak = float(np.max(summed))
+    if cfg.psd_threshold is not None and peak >= cfg.psd_threshold:
+        return HeartRateEstimate(time_s, None, peak, STATUS_SUPPRESSED)
+    return HeartRateEstimate(time_s, 60.0 * float(f[k][int(np.argmax(summed))]), peak,
+                             STATUS_ESTIMATE)
+
+
+def fields(e: HeartRateEstimate):
+    return e.time_s, repr(e.bpm), repr(e.peak_power), e.status
 
 
 class TestConfig:
@@ -71,6 +103,10 @@ class TestEstimateWindow:
         est = estimate_window(tone_window(1.2, n=4000), CFG)
         assert est.status == "insufficient_data"
         assert est.bpm is None
+
+    def test_window_longer_than_nfft_rejected(self):
+        with pytest.raises(ValueError, match=f"nfft={CFG.nfft} shorter than the"):
+            estimate_window(tone_window(1.2, n=CFG.nfft + 1), CFG)
 
     def test_estimate_always_in_band(self):
         # out-of-band tones cannot drag the estimate out of the resting band
@@ -199,3 +235,41 @@ class TestStream:
             stream_heart_rate(tr, CFG)
         ests = stream_heart_rate(tr, HeartRateConfig(sample_rate_hz=300.0))
         assert len(ests) == 30
+
+
+@pytest.fixture(scope="module")
+def rest_and_motion():
+    """62 s at rest, and the same with a gross-motion burst at 50-53 s. 62 s
+    leaves a partial last block of three rows at every window length tested."""
+    rest = simulate_vitals(VitalSignsProfile(heart_rate_bpm=70.0), NoiseModel(seed=5), 62.0)
+    t = rest.timestamps
+    burst = 1.0 * np.sin(2 * np.pi * 1.0 * t) * ((t > 50.0) & (t < 53.0))
+    return rest, make_trace(rest.rss_db + burst, FS)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("window_s", [10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("second_harmonic", [True, False])
+    def test_stream_equals_oracle_and_isolated_windows(self, monkeypatch, rest_and_motion,
+                                                       window_s, second_harmonic):
+        rest, motion = rest_and_motion
+        thd = calibrate_threshold(rest, HeartRateConfig(window_s=window_s))
+        cfg = HeartRateConfig(window_s=window_s, psd_threshold=thd)
+        rss = motion.rss_db
+        want = []
+        for k in range(1, 63):
+            end = int(round(k * FS))
+            window = rss[max(0, end - cfg.window_samples): end]
+            oracle = oracle_estimate(window, cfg, float(k), second_harmonic)
+            isolated = estimate_window(window, cfg, float(k), second_harmonic)
+            assert fields(isolated) == fields(oracle)
+            want.append(fields(oracle))
+        statuses = {w[3] for w in want}
+        assert statuses == {STATUS_INSUFFICIENT, STATUS_ESTIMATE, STATUS_SUPPRESSED}
+        # One row per block, three rows (a partial block at the end), and the
+        # default bound (every full window in one block).
+        for bound in (1, 3 * cfg.nfft, None):
+            if bound is not None:
+                monkeypatch.setattr(heart, "_BLOCK_SAMPLES", bound)
+            got = stream_heart_rate(motion, cfg, second_harmonic)
+            assert [fields(e) for e in got] == want
