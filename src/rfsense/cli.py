@@ -68,6 +68,8 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise UsageError(f"config file {path} is not valid JSON: {e}")
+    except RecursionError:
+        raise UsageError(f"config file {path} is nested too deeply to read")
     if not isinstance(cfg, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return cfg

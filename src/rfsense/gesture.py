@@ -493,6 +493,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """True for a JSON number that is a finite float (an int too large to
+    convert is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_matrix(value, width: int) -> bool:
     """True for a non-empty JSON array of number arrays, each `width` long."""
     return (isinstance(value, list) and len(value) > 0
@@ -517,7 +526,7 @@ def _is_tree(tree, n_features: int, n_classes: int) -> bool:
             thr = node["threshold"]
             if not (_is_int(node["feature"]) and 0 <= node["feature"] < n_features
                     and isinstance(thr, (int, float)) and not isinstance(thr, bool)
-                    and math.isfinite(thr)):
+                    and _finite(thr)):
                 return False
             stack += (node["left"], node["right"])
         else:
@@ -528,7 +537,10 @@ def _is_tree(tree, n_features: int, n_classes: int) -> bool:
 def load_model(path) -> TrainedModel:
     """Read a model written by save_model; a malformed file raises ValueError."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: model file is nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a model file holds a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
@@ -548,6 +560,12 @@ def load_model(path) -> TrainedModel:
         if len(doc[key]) != len(doc["layout"]):
             raise ValueError(f"{path}: model {key!r} has {len(doc[key])} entries "
                              f"for {len(doc['layout'])} layout entries")
+    # Training maps a zero spread to 1, so every stored scale is positive.
+    if not all(map(_finite, doc["feature_mean"])):
+        raise ValueError(f"{path}: model 'feature_mean' has a non-finite entry")
+    if not all(_finite(v) and v > 0 for v in doc["feature_scale"]):
+        raise ValueError(f"{path}: model 'feature_scale' has an entry that is "
+                         "not finite and positive")
     if doc["kind"] not in CLASSIFIER_KINDS:
         raise ValueError(f"{path}: unknown classifier kind {doc['kind']!r}")
     state = _state_from_json(doc["kind"], doc["state"], len(doc["layout"]), path)

@@ -17,6 +17,10 @@ The gesture label, being a string, lives in the header line as
 ``load_trace(save_trace(t)) == t`` exactly and repeated writes are
 byte-identical.
 
+save_trace formats the nominal time axis t[i] = i / sample_rate_hz once per
+sample rate and reuses that text for every trace whose timestamps equal it
+bit for bit; the memory bound is in its docstring.
+
 load_trace raises ValueError, prefixed with the path, for a file it cannot
 trust. Errors tied to one body row name it as ``path:line`` (the first data
 row is line 3):
@@ -26,6 +30,10 @@ row is line 3):
 - a timestamp step that differs from the nominal period 1 / sample_rate_hz
   by more than half a period (MAX_STEP_ERROR_PERIODS): every estimator
   assumes uniform sampling, t[i] = t[0] + i / fs.
+- a per-trace scalar truth column (gt_speed_mps, gt_cross_t_s, gt_start_s,
+  gt_end_s) whose value differs, bit for bit, from its first row's: the
+  value read is the first row's, so an edited later row would otherwise be
+  ignored without a word.
 
 A missing or malformed metadata line, unexpected column names, a
 non-positive rate and a NaN or infinite RSS sample are named by path alone.
@@ -171,8 +179,45 @@ def _header_escape(v: str) -> str:
     return v
 
 
+# (rate, np.arange(n) / rate, repr of each element) for the last rate
+# save_trace wrote; see save_trace for the reuse rules and memory bound.
+# It is replaced in one assignment, never mutated, so a thread that read it
+# keeps a consistent triple.
+_nominal_axis: tuple[float, np.ndarray, list[str]] = (0.0, np.empty(0), [])
+
+
+def _time_text(t: np.ndarray, rate: float):
+    """repr of each timestamp; the cached text when `t` is a prefix of the
+    nominal axis bit for bit (-0.0 == 0.0, but their reprs differ)."""
+    global _nominal_axis
+    n = len(t)
+    cached_rate, grid, text = _nominal_axis
+    if cached_rate != rate or len(grid) < n:
+        grid = np.arange(n, dtype=np.float64) / rate
+        if not np.array_equal(grid.view(np.int64), t.view(np.int64)):
+            return map(repr, t.tolist())
+        keep = len(text) if cached_rate == rate else 0
+        text = text[:keep] + list(map(repr, grid[keep:].tolist()))
+        _nominal_axis = (rate, grid, text)
+    elif not np.array_equal(grid[:n].view(np.int64), t.view(np.int64)):
+        return map(repr, t.tolist())
+    return text[:n]
+
+
 def save_trace(trace: RssTrace, path: str | os.PathLike) -> None:
-    """Write a trace to CSV with exact float round-trip."""
+    """Write a trace to CSV with exact float round-trip.
+
+    The t_s text of a trace on the nominal axis np.arange(n) / rate (every
+    make_trace and simulator trace, and every trace loaded from a file
+    written here) comes from one cached axis. Element i of that axis does
+    not depend on n, so a shorter trace at the same rate takes a prefix and
+    a longer one extends it; a trace at another rate replaces it. The cache
+    is used only when the timestamps equal the axis prefix bit for bit, so
+    any other axis (offset, jittered, a -0.0 start) is formatted as before
+    and the bytes never change. Memory: one axis, as long as the longest
+    trace written at the current rate, about 85 bytes per sample (0.75 MB
+    for a 20 s trace at 449 Hz, 11 MB for 300 s).
+    """
     meta = trace.metadata
     gt = trace.ground_truth
     pairs = [
@@ -200,7 +245,9 @@ def save_trace(trace: RssTrace, path: str | os.PathLike) -> None:
 
     # repr of a tolist() float is repr(float(c[i])): the same shortest
     # round-trip text, formatted a whole column at a time.
-    cols = [map(repr, np.asarray(c, dtype=np.float64).tolist()) for c in series]
+    series = [np.asarray(c, dtype=np.float64) for c in series]
+    cols = [_time_text(series[0], meta.sample_rate_hz)]
+    cols += [map(repr, c.tolist()) for c in series[1:]]
     body = row_end.join(map(",".join, zip(*cols))) + row_end if len(trace) else ""
     with open(path, "w") as f:
         f.write("# " + ",".join(f"{k}={v}" for k, v in pairs) + "\n"
@@ -236,15 +283,37 @@ def _parse_rows(lines: list[str], width: int, path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
+def _line_of(lines: list[str], row: int) -> int:
+    """File line number of body row `row` (blank lines are not rows)."""
+    line_no, _ = next(itertools.islice(_data_lines(lines), row, None))
+    return line_no
+
+
+def _scalar(series: np.ndarray, col: str, lines: list[str], path) -> float | None:
+    """The value of a per-trace scalar column; raise naming the line of the
+    first row whose value differs from the first row's, bit for bit."""
+    if not len(series):
+        return None
+    bits = series.view(np.int64)
+    off = bits != bits[0]
+    if off.any():
+        row = int(np.argmax(off))
+        raise ValueError(
+            f"{path}:{_line_of(lines, row)}: {col} is {float(series[row])!r} here "
+            f"but {float(series[0])!r} on the first row; a per-trace value must "
+            "not vary")
+    return float(series[0])
+
+
 def _check_uniform(t: np.ndarray, sample_rate: float, lines: list[str], path) -> None:
     """Raise naming the line of the first step off the nominal period."""
     period = 1.0 / sample_rate
     off = ~(np.abs(np.diff(t) - period) <= MAX_STEP_ERROR_PERIODS * period)
     if off.any():
         row = int(np.argmax(off)) + 1
-        line_no, _ = next(itertools.islice(_data_lines(lines), row, None))
         raise ValueError(
-            f"{path}:{line_no}: timestamp {t[row]!r} s follows {t[row - 1]!r} s; "
+            f"{path}:{_line_of(lines, row)}: timestamp {float(t[row])!r} s "
+            f"follows {float(t[row - 1])!r} s; "
             f"sample_rate_hz={sample_rate!r} needs steps of {period!r} s "
             f"(within {MAX_STEP_ERROR_PERIODS} of a period)")
 
@@ -291,8 +360,7 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
         gt.hr_bpm = by_name["gt_hr_bpm"]
     for attr, col in _GT_SCALAR_COLUMNS:
         if col in by_name:
-            series = by_name[col]
-            setattr(gt, attr, float(series[0]) if len(series) else None)
+            setattr(gt, attr, _scalar(by_name[col], col, lines, path))
 
     try:
         meta = TraceMetadata(sample_rate, center_freq, meta_pairs)

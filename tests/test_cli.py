@@ -170,6 +170,16 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("error: bad heart config: need a JSON object")
 
+    def test_config_nested_too_deeply_exits_2(self, vitals_dir, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text('{"a":' * 100_000 + "1" + "}" * 100_000)
+        rc = run(["heartrate", str(vitals_dir / "vitals.csv"), "--config", str(cfg),
+                  "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg} is nested too deeply")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("section, fields", [
         ("heart", {"window_s": 20, "psd_threshold": None}),
         ("speed", {"hampel": None, "crossing_threshold_hz": None, "nfft": 2048}),
@@ -437,6 +447,30 @@ class TestGesture:
         assert err.startswith(f"error: {model}: model state 'trees' is not")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, what", [
+        ("zero_scale", "model 'feature_scale' has an entry that is not finite"),
+        ("deep", "model file is nested too deeply"),
+    ])
+    def test_classify_with_unreadable_model_exits_1(self, gesture_corpus, tmp_path,
+                                                    capsys, edit, what):
+        train, test, seg_cfg = gesture_corpus
+        assert run(["gesture", "train", str(train), "--kind", "knn",
+                    "--config", str(seg_cfg), "-o", str(tmp_path / "model")]) == 0
+        model = tmp_path / "model" / "model.json"
+        if edit == "zero_scale":
+            doc = json.loads(model.read_text())
+            doc["feature_scale"] = [0.0] * len(doc["feature_scale"])
+            model.write_text(json.dumps(doc))
+        else:
+            model.write_text('{"a":' * 100_000 + "1" + "}" * 100_000)
+        rc = run(["gesture", "classify", "--trace", str(test / "punch_0.csv"),
+                  "--model", str(model), "--config", str(seg_cfg),
+                  "-o", str(tmp_path / "cls")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: {what}")
+        assert "Traceback" not in err
+
 
 class TestSpeed:
     def test_calibrate_outputs(self, calibrated):
@@ -511,6 +545,23 @@ class TestSpeed:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {alpha}:3: alpha must be a finite positive")
+        assert "Traceback" not in err
+
+    def test_varying_truth_speed_exits_1_naming_the_line(
+            self, calibrated, crossing_files, tmp_path, capsys):
+        lines = crossing_files[1].read_text().splitlines()
+        col = lines[1].split(",").index("gt_speed_mps")
+        fields = lines[499].split(",")                 # file line 500
+        fields[col] = "1.7"
+        lines[499] = ",".join(fields)
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = run(["speed", "estimate", str(path),
+                  "--alpha-file", str(calibrated / "alpha.txt"),
+                  "-o", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:500: gt_speed_mps is 1.7 here")
         assert "Traceback" not in err
 
 

@@ -425,6 +425,33 @@ class TestPersistence:
                                              "has 3 entries for 2 layout entries"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", ["knn", "random_forest", "linear_svm"])
+    @pytest.mark.parametrize("key, value, what", [
+        ("feature_scale", 0, "not finite and positive"),
+        ("feature_scale", -1, "not finite and positive"),
+        ("feature_scale", float("nan"), "not finite and positive"),
+        ("feature_scale", float("inf"), "not finite and positive"),
+        ("feature_scale", 10 ** 400, "not finite and positive"),
+        ("feature_mean", float("nan"), "a non-finite entry"),
+        ("feature_mean", float("-inf"), "a non-finite entry"),
+        ("feature_mean", -10 ** 400, "a non-finite entry"),
+    ])
+    def test_standardization_values_checked(self, kind, key, value, what, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train(blob_dataset(seed=14, per_class=4), kind), path)
+        doc = json.loads(path.read_text())
+        doc[key] = [value] * len(doc[key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model "
+                                             f"'{key}' has .*{what}"):
+            load_model(path)
+
+    def test_deep_document_is_a_named_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"a":' * 100_000 + "1" + "}" * 100_000)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*too deeply"):
+            load_model(path)
+
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format_version": 99, "kind": "knn"}')

@@ -15,6 +15,7 @@ from rfsense.sim import (
     simulate_gesture,
     simulate_vitals,
 )
+from rfsense import trace as rftrace
 from rfsense.trace import (
     GroundTruth,
     RssTrace,
@@ -250,6 +251,70 @@ class TestExactColumnIO:
             assert_exact_io(tr, tmp_path / f"{kind}.csv", tmp_path / f"{kind}_ref.csv")
 
 
+class TestNominalAxisCache:
+    """save_trace reuses the text of the nominal axis np.arange(n) / rate;
+    every file must still match the reference writer byte for byte."""
+
+    @staticmethod
+    def on_grid(n, rate=449.0, seed=0):
+        rng = np.random.default_rng(seed)
+        return make_trace(rng.normal(-50.0, 1.0, n), sample_rate_hz=rate,
+                          ground_truth=GroundTruth(speed_mps=0.8))
+
+    @staticmethod
+    def off_grid(t, seed=0):
+        rng = np.random.default_rng(seed)
+        return RssTrace(TraceMetadata(), t, rng.normal(-50.0, 1.0, len(t)))
+
+    def test_lengths_rise_then_fall(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rftrace, "_nominal_axis", (0.0, np.empty(0), []))
+        for i, n in enumerate((40, 300, 7, 300, 1200, 1, 64)):
+            assert_exact_io(self.on_grid(n, seed=i), tmp_path / "t.csv",
+                            tmp_path / "ref.csv")
+        rate, grid, text = rftrace._nominal_axis
+        assert rate == 449.0 and len(grid) == len(text) == 1200
+
+    def test_two_sample_rates(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rftrace, "_nominal_axis", (0.0, np.empty(0), []))
+        for i, (n, rate) in enumerate(((500, 449.0), (200, 300.0), (800, 449.0),
+                                       (800, 300.0), (100, 449.0))):
+            assert_exact_io(self.on_grid(n, rate, seed=i), tmp_path / "t.csv",
+                            tmp_path / "ref.csv")
+        # One axis only: the last rate's.
+        assert rftrace._nominal_axis[0] == 449.0
+        assert len(rftrace._nominal_axis[1]) == 100
+
+    @pytest.mark.parametrize("edit", ["negative_zero_start", "one_ulp_off", "offset"])
+    def test_axis_off_the_grid_keeps_its_own_text(self, edit, tmp_path):
+        n = 200
+        assert_exact_io(self.on_grid(2 * n), tmp_path / "t.csv", tmp_path / "ref.csv")
+        t = np.arange(n, dtype=np.float64) / 449.0
+        if edit == "negative_zero_start":    # == the grid, but repr differs
+            t[0] = -0.0
+        elif edit == "one_ulp_off":
+            t[137] = np.nextafter(t[137], np.inf)
+        else:
+            t += 12.5
+        assert_exact_io(self.off_grid(t), tmp_path / "t.csv", tmp_path / "ref.csv")
+        # The cached axis still serves the nominal grid afterwards.
+        assert_exact_io(self.on_grid(n), tmp_path / "t.csv", tmp_path / "ref.csv")
+
+    def test_negative_zero_start_before_any_grid_trace(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rftrace, "_nominal_axis", (0.0, np.empty(0), []))
+        t = np.arange(50, dtype=np.float64) / 449.0
+        t[0] = -0.0
+        assert_exact_io(self.off_grid(t), tmp_path / "t.csv", tmp_path / "ref.csv")
+        assert (tmp_path / "t.csv").read_text().splitlines()[2].startswith("-0.0,")
+
+    def test_load_save_round_trip(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_trace(self.on_grid(900), first)
+        back = load_trace(first)
+        assert bits(back.timestamps) == bits(np.arange(900) / 449.0)
+        assert_exact_io(back, second, tmp_path / "ref.csv")
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestLoadErrors:
     @staticmethod
     def written(tmp_path, n=30):
@@ -307,3 +372,58 @@ class TestLoadErrors:
         lines[3] = lines[3].split(",")[0] + ",-4_0.5"
         p.write_text("\n".join(lines) + "\n")
         assert load_trace(p).rss_db[1] == -40.5
+
+    @pytest.mark.parametrize("col, first, edited", [
+        ("gt_speed_mps", 0.3, 1.7),
+        ("gt_cross_t_s", 2.5, 2.5000000000000004),
+        ("gt_start_s", 0.0, -0.0),           # equal, but not bit for bit
+        ("gt_end_s", 4.0, 40.0),
+    ])
+    def test_varying_scalar_truth_names_its_line(self, tmp_path, col, first, edited):
+        scalars = {"speed_mps": 0.3, "cross_t_s": 2.5, "start_s": 0.0, "end_s": 4.0}
+        p = tmp_path / "t.csv"
+        save_trace(make_trace(np.zeros(600), ground_truth=GroundTruth(**scalars)), p)
+        lines = p.read_text().splitlines()
+        i = lines[1].split(",").index(col)
+        fields = lines[499].split(",")                 # file line 500
+        assert float(fields[i]) == first
+        fields[i] = repr(edited)
+        lines[499] = ",".join(fields)
+        p.write_text("\n".join(lines) + "\n")
+        with self.raises_at(p, 500, f"{col} is {edited!r} here but {first!r}"):
+            load_trace(p)
+
+
+# Bytes that shape a trace file, so edits often reach the parser's checks.
+STRUCTURE_BYTES = st.sampled_from(b",\n\r#=.-+e0159naif_ \t")
+
+
+class TestLoadFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                  st.floats(0.0, 1.0, exclude_max=True),
+                  st.one_of(STRUCTURE_BYTES, st.integers(0, 255))),
+        min_size=1, max_size=8))
+    def test_byte_edits_raise_only_value_error(self, tmp_path_session, edits):
+        """A damaged file either loads or raises ValueError (UnicodeDecodeError
+        included): never another exception."""
+        p = tmp_path_session / "fuzz.csv"
+        gt = GroundTruth(hr_bpm=np.linspace(60.0, 61.0, 6), speed_mps=0.9,
+                         cross_t_s=0.004, label="punch")
+        save_trace(make_trace(np.linspace(-50.0, -49.0, 6), ground_truth=gt,
+                              extras={"trace_id": "x"}), p)
+        data = bytearray(p.read_bytes())
+        for op, where, byte in edits:
+            i = int(where * len(data))
+            if op == "replace" and data:
+                data[i] = byte
+            elif op == "insert":
+                data.insert(i, byte)
+            elif data:
+                del data[i]
+        p.write_bytes(bytes(data))
+        try:
+            load_trace(p)
+        except ValueError:
+            pass
