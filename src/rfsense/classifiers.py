@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dsp
+
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -31,15 +33,39 @@ def knn_fit(X, y, n_classes: int, k: int = 5) -> KnnModel:
     return KnnModel(k=k, points=X.copy(), labels=y.copy(), n_classes=n_classes)
 
 
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len(A), len(B)) squared distances, each summed over the feature axis.
+    The one difference array is squared in place and freed on return."""
+    diff = A[:, None, :] - B[None, :, :]
+    np.square(diff, out=diff)
+    return diff.sum(axis=2)
+
+
 def knn_predict(model: KnnModel, X) -> np.ndarray:
+    """Majority label of the k nearest training points by squared distance.
+
+    The (rows, points, features) difference array is built in blocks of at
+    most dsp._BLOCK elements: as many test rows as fit, and when one row's
+    slab against all points does not fit, one row against as many points as
+    fit. Each distance is still reduced over the same contiguous feature
+    axis, so the labels do not depend on the block size.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    d2 = ((X[:, None, :] - model.points[None, :, :]) ** 2).sum(axis=2)
-    # stable sort keeps earlier training points ahead on exact distance ties
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+    points = model.points
+    n, F = points.shape
+    rows = max(1, dsp._BLOCK // max(1, n * F))
+    cols = n if n * F <= dsp._BLOCK else max(1, dsp._BLOCK // F)
     out = np.empty(len(X), dtype=np.int64)
-    for i, row in enumerate(nearest):
-        votes = np.bincount(model.labels[row], minlength=model.n_classes)
-        out[i] = int(np.argmax(votes))  # argmax takes the lowest id on ties
+    for lo in range(0, len(X), rows):
+        blk = X[lo:lo + rows]
+        d2 = np.empty((len(blk), n))
+        for j in range(0, n, cols):
+            d2[:, j:j + cols] = _squared_distances(blk, points[j:j + cols])
+        # stable sort keeps earlier training points ahead on exact distance ties
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+        for i, row in enumerate(nearest, start=lo):
+            votes = np.bincount(model.labels[row], minlength=model.n_classes)
+            out[i] = int(np.argmax(votes))  # argmax takes the lowest id on ties
     return out
 
 

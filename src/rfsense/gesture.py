@@ -421,9 +421,10 @@ def _state_to_json(model: TrainedModel):
 
 def _state_from_json(kind: str, blob: dict, n_features: int, path):
     """Classifier state from its JSON object. A missing key, a count that is
-    not an int, a matrix of the wrong shape, a class id out of range or a
-    malformed tree raises ValueError naming `path`, so that classify never
-    meets it."""
+    not an int, a KNN k outside [1, number of points], a matrix of the wrong
+    shape or with an entry that is not a finite float, a class id out of
+    range or a malformed tree raises ValueError naming `path`, so that
+    classify never meets it."""
     def need(key: str, ok: bool, what: str) -> None:
         if not ok:
             raise ValueError(f"{path}: model state {key!r} is not {what}")
@@ -437,20 +438,26 @@ def _state_from_json(kind: str, blob: dict, n_features: int, path):
             need("k", _is_int(blob["k"]), "an integer")
             need("points", _is_matrix(blob["points"], n_features),
                  f"a matrix of numbers with {n_features} columns")
+            need("points", _all_finite(blob["points"]), "a matrix of finite numbers")
+            need("k", 1 <= blob["k"] <= len(blob["points"]),
+                 f"in [1, {len(blob['points'])}], the number of points")
             need("labels", _list_of(blob["labels"], int)
                  and len(blob["labels"]) == len(blob["points"]),
                  "a list of integers, one per point")
             need("labels", all(0 <= v < n_classes for v in blob["labels"]),
                  f"a list of class ids in [0, {n_classes})")
-            return _clf.KnnModel(k=blob["k"], points=np.asarray(blob["points"]),
+            return _clf.KnnModel(k=blob["k"],
+                                 points=np.asarray(blob["points"], dtype=np.float64),
                                  labels=np.asarray(blob["labels"], dtype=np.int64),
                                  n_classes=n_classes)
         if kind == "linear_svm":
             need("weights", _is_matrix(blob["weights"], n_features + 1),
                  f"a matrix of numbers with {n_features + 1} columns")
+            need("weights", _all_finite(blob["weights"]), "a matrix of finite numbers")
             need("weights", len(blob["weights"]) == n_classes,
                  f"a matrix with {n_classes} rows, one per class")
-            return _clf.LinearSvmModel(weights=np.asarray(blob["weights"]),
+            return _clf.LinearSvmModel(weights=np.asarray(blob["weights"],
+                                                          dtype=np.float64),
                                        n_classes=n_classes)
         need("n_features", _is_int(blob["n_features"]), "an integer")
         need("trees", isinstance(blob["trees"], list) and len(blob["trees"]) > 0
@@ -509,6 +516,11 @@ def _is_matrix(value, width: int) -> bool:
                     for row in value))
 
 
+def _all_finite(matrix) -> bool:
+    """True when every entry of a JSON number matrix is a finite float."""
+    return all(_finite(v) for row in matrix for v in row)
+
+
 def _is_tree(tree, n_features: int, n_classes: int) -> bool:
     """True for a decision tree as forest_fit grows it: every node is a leaf
     {"leaf": class id} or a split {"feature": feature index, "threshold":
@@ -541,6 +553,8 @@ def load_model(path) -> TrainedModel:
             doc = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: model file is nested too deeply to read") from None
+        except ValueError as e:  # bad JSON or bad UTF-8
+            raise ValueError(f"{path}: model file is not JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a model file holds a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:

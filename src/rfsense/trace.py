@@ -217,6 +217,9 @@ def save_trace(trace: RssTrace, path: str | os.PathLike) -> None:
     and the bytes never change. Memory: one axis, as long as the longest
     trace written at the current rate, about 85 bytes per sample (0.75 MB
     for a 20 s trace at 449 Hz, 11 MB for 300 s).
+
+    Scalar ground truth is stored on every row, so an empty trace that has
+    any raises ValueError: its file would have no row to hold the value.
     """
     meta = trace.metadata
     gt = trace.ground_truth
@@ -239,6 +242,9 @@ def save_trace(trace: RssTrace, path: str | os.PathLike) -> None:
     for attr, col in _GT_SCALAR_COLUMNS:
         val = getattr(gt, attr)
         if val is not None:
+            if not len(trace):
+                raise ValueError(f"an empty trace cannot store scalar ground "
+                                 f"truth {col}: the file has no row to hold it")
             names.append(col)
             row_end += "," + _format_float(val)
     row_end += "\n"

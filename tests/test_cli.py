@@ -471,6 +471,55 @@ class TestGesture:
         assert err.startswith(f"error: {model}: {what}")
         assert "Traceback" not in err
 
+    @pytest.fixture(scope="class")
+    def saved_models(self, gesture_corpus, tmp_path_factory):
+        """model.json bytes of a knn and a linear_svm model on the corpus."""
+        train, _, seg_cfg = gesture_corpus
+        out = {}
+        for kind in ("knn", "linear_svm"):
+            model_dir = tmp_path_factory.mktemp(kind)
+            assert run(["gesture", "train", str(train), "--kind", kind,
+                        "--config", str(seg_cfg), "-o", str(model_dir)]) == 0
+            out[kind] = (model_dir / "model.json").read_bytes()
+        return out
+
+    @pytest.mark.parametrize("kind, edit, what", [
+        ("knn", "nan_point", "model state 'points' is not a matrix of finite numbers"),
+        ("knn", "k_zero", "model state 'k' is not in [1, 8]"),
+        ("knn", "k_huge", "model state 'k' is not in [1, 8]"),
+        ("linear_svm", "huge_weight",
+         "model state 'weights' is not a matrix of finite numbers"),
+        ("linear_svm", "truncated", "model file is not JSON"),
+        ("knn", "bad_utf8", "model file is not JSON"),
+    ])
+    def test_classify_with_edited_model_exits_1(self, gesture_corpus, saved_models,
+                                                tmp_path, capsys, kind, edit, what):
+        _, test, seg_cfg = gesture_corpus
+        data = saved_models[kind]
+        doc = json.loads(data)
+        if edit == "nan_point":
+            doc["state"]["points"][3][0] = float("nan")
+        elif edit == "k_zero":
+            doc["state"]["k"] = 0
+        elif edit == "k_huge":
+            doc["state"]["k"] = 10 ** 6
+        elif edit == "huge_weight":
+            doc["state"]["weights"][0][-1] = 10 ** 400
+        model = tmp_path / "model.json"
+        if edit == "truncated":
+            model.write_bytes(data[: len(data) // 2])
+        elif edit == "bad_utf8":
+            model.write_bytes(data.replace(b'"knn"', b'"kn\xff"'))
+        else:
+            model.write_text(json.dumps(doc))
+        rc = run(["gesture", "classify", "--trace", str(test / "punch_0.csv"),
+                  "--model", str(model), "--config", str(seg_cfg),
+                  "-o", str(tmp_path / "cls")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: {what}")
+        assert "Traceback" not in err
+
 
 class TestSpeed:
     def test_calibrate_outputs(self, calibrated):

@@ -7,11 +7,15 @@ a hand-built signal or a hand-built cluster layout.
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfsense import classifiers as clf
+from rfsense import dsp
 from rfsense.gesture import (
     GESTURE_LABELS,
     EvaluationResult,
@@ -24,10 +28,12 @@ from rfsense.gesture import (
     extract_features,
     feature_layout,
     load_model,
+    preprocess,
     save_model,
     segment,
     train,
 )
+from rfsense.sim import DEFAULT_TEMPLATES, NoiseModel, simulate_gesture
 from rfsense.trace import make_trace
 
 FS = 449.0
@@ -265,6 +271,108 @@ class TestClassifiers:
             train(data_bad, "knn")
 
 
+def oracle_knn_predict(model, X):
+    """The one-shot KNN: the whole (rows, points, features) difference array
+    at once, stable argsort, per-row bincount votes."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    d2 = ((X[:, None, :] - model.points[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+    return np.array([np.argmax(np.bincount(model.labels[row], minlength=model.n_classes))
+                     for row in nearest], dtype=np.int64).reshape(len(X))
+
+
+@pytest.fixture(scope="module")
+def gesture_features():
+    """DWT features of 4 simulated instances per gesture label, each cut at
+    its true extent from the preprocessed trace."""
+    cfg = SegmentationConfig()
+    data = []
+    for label in GESTURE_LABELS:
+        for i in range(4):
+            tr = simulate_gesture(DEFAULT_TEMPLATES[label], NoiseModel(seed=i),
+                                  pre_pad_s=1.0, post_pad_s=0.5, seed=100 + i)
+            gt = tr.ground_truth
+            pre = preprocess(tr.rss_db, FS, cfg)
+            samples = pre[int(round(gt.start_s * FS)):int(round(gt.end_s * FS))]
+            seg = GestureSegment(start_s=gt.start_s, end_s=gt.end_s, samples=samples)
+            data.append((extract_features(seg, FS), label))
+    return data
+
+
+class TestKnnBlocks:
+    """knn_predict in blocks of at most dsp._BLOCK difference elements gives
+    the one-shot oracle's labels at every block size."""
+
+    BLOCKS = [1, 7, dsp._BLOCK]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("k", [1, 5, 7])
+    def test_gesture_features_match_oracle(self, gesture_features, monkeypatch,
+                                           block, k):
+        model = train(gesture_features[::2], "knn", k=k)
+        X = np.stack([fv.values for fv, _ in gesture_features])
+        Xz = (X - model.feature_mean) / model.feature_scale
+        want = oracle_knn_predict(model.state, Xz)
+        widths = []
+        squared_distances = clf._squared_distances
+
+        def spy(A, B):
+            widths.append(len(B))
+            return squared_distances(A, B)
+
+        monkeypatch.setattr(clf, "_squared_distances", spy)
+        monkeypatch.setattr(dsp, "_BLOCK", block)
+        assert np.array_equal(clf.knn_predict(model.state, Xz), want)
+        n = len(model.state.points)
+        # 292 features: a small block compares one row with one point at a time
+        assert set(widths) == ({1} if block < 292 else {n})
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_random_shapes_match_oracle(self, monkeypatch, block):
+        monkeypatch.setattr(dsp, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for case in range(60):
+            n, F, q = (int(v) for v in rng.integers(1, [40, 12, 25]))
+            points = rng.normal(size=(n, F)) * 10.0 ** rng.uniform(-3, 3)
+            X = rng.normal(size=(q, F)) * 10.0 ** rng.uniform(-3, 3)
+            if case % 3 == 0:      # exact distance ties
+                points, X = np.round(points), np.round(X)
+            model = clf.KnnModel(k=int(rng.integers(1, n + 1)), points=points,
+                                 labels=rng.integers(0, 8, n), n_classes=8)
+            assert np.array_equal(clf.knn_predict(model, X),
+                                  oracle_knn_predict(model, X)), case
+
+    def test_one_point_block_per_row_when_a_row_overflows(self, monkeypatch):
+        """A row's slab of 3 points x 4 features exceeds a 9-element block, so
+        each row meets the points two at a time, then the last one alone."""
+        monkeypatch.setattr(dsp, "_BLOCK", 9)
+        shapes = []
+        squared_distances = clf._squared_distances
+
+        def spy(A, B):
+            shapes.append((len(A), len(B)))
+            return squared_distances(A, B)
+
+        monkeypatch.setattr(clf, "_squared_distances", spy)
+        model = clf.knn_fit(np.arange(12.0).reshape(3, 4), [0, 1, 2], 8, k=1)
+        assert clf.knn_predict(model, [[0.0] * 4, [8.0] * 4]).tolist() == [0, 2]
+        assert shapes == [(1, 2), (1, 1)] * 2
+
+    def test_peak_memory_is_bounded(self):
+        rng = np.random.default_rng(0)
+        model = clf.knn_fit(rng.normal(size=(320, 292)), rng.integers(0, 8, 320), 8)
+        X = rng.normal(size=(200, 292))
+        tracemalloc.start()
+        try:
+            got = clf.knn_predict(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the one-shot difference array alone is 200 * 320 * 292 * 8 B = 143 MiB
+        assert peak < 48 * 2 ** 20
+        assert np.array_equal(got, oracle_knn_predict(model, X))
+
+
 class TestEvaluate:
     def test_perfect_classifier_identity_confusion(self):
         data = blob_dataset(seed=9, per_class=6)
@@ -372,6 +480,16 @@ class TestPersistence:
         ("knn", "n_classes", 7, "8, one class per gesture label"),
         ("knn", "labels", None, r"a list of class ids in \[0, 8\)"),
         ("linear_svm", "weights", [[1.0, 2.0, 3.0]], "a matrix with 8 rows, one per class"),
+        ("knn", "k", 0, r"in \[1, 32\], the number of points"),
+        ("knn", "k", -3, r"in \[1, 32\], the number of points"),
+        ("knn", "k", 33, r"in \[1, 32\], the number of points"),
+        ("knn", "k", 10 ** 6, r"in \[1, 32\], the number of points"),
+        ("knn", "points", [[0.0, float("nan")]] * 32, "a matrix of finite numbers"),
+        ("knn", "points", [[float("inf"), 0.0]] * 32, "a matrix of finite numbers"),
+        ("linear_svm", "weights", [[0.0, 0.0, float("-inf")]] * 8,
+         "a matrix of finite numbers"),
+        ("linear_svm", "weights", [[10 ** 400, 0.0, 0.0]] * 8,
+         "a matrix of finite numbers"),
     ])
     def test_state_out_of_range_names_file_and_key(self, kind, key, value, what, tmp_path):
         path = tmp_path / "m.json"
@@ -385,6 +503,20 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: model state "
                                              f"'{key}' is not {what}"):
             load_model(path)
+
+    def test_integer_matrix_entries_load_as_floats(self, tmp_path):
+        """JSON ints, one too large for int64, become float64 points."""
+        path = tmp_path / "m.json"
+        model = train(blob_dataset(seed=14, per_class=4), "knn", k=1)
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["state"]["points"] = [[round(v) for v in row] for row in doc["state"]["points"]]
+        doc["state"]["points"][0][0] = 10 ** 30
+        path.write_text(json.dumps(doc))
+        points = load_model(path).state.points
+        assert points.dtype == np.float64
+        assert points[0, 0] == 1e30
+        assert np.array_equal(points[1:], np.round(model.state.points[1:]))
 
     @pytest.mark.parametrize("trees", [
         [],
@@ -457,3 +589,54 @@ class TestPersistence:
         path.write_text('{"format_version": 99, "kind": "knn"}')
         with pytest.raises(ValueError):
             load_model(path)
+
+
+# Bytes that shape a JSON model file, so edits often reach the loader's checks.
+JSON_BYTES = st.sampled_from(b'{}[]",:.-+eE0159 ntfalseruNaIiy')
+
+
+@pytest.fixture(scope="module")
+def small_models(tmp_path_factory):
+    """Saved bytes of one small model of each kind, 2 features, 16 points."""
+    root = tmp_path_factory.mktemp("models")
+    data = blob_dataset(seed=21, per_class=2)
+    hyper = {"knn": {"k": 3}, "linear_svm": {"epochs": 2},
+             "random_forest": {"n_trees": 2}}
+    out = {}
+    for kind, params in hyper.items():
+        path = root / f"{kind}.json"
+        save_model(train(data, kind, seed=0, **params), path)
+        out[kind] = path.read_bytes()
+    return out
+
+
+class TestLoadModelFuzz:
+    @pytest.mark.parametrize("kind", ["knn", "linear_svm", "random_forest"])
+    @settings(max_examples=200, deadline=None)
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                  st.floats(0.0, 1.0, exclude_max=True),
+                  st.one_of(JSON_BYTES, st.integers(0, 255))),
+        min_size=1, max_size=6))
+    def test_byte_edits_raise_only_value_error(self, small_models, tmp_path_session,
+                                               kind, edits):
+        """A damaged model file either loads and classifies, or raises
+        ValueError (JSON and UTF-8 decoding errors included): never another
+        exception."""
+        data = bytearray(small_models[kind])
+        for op, where, byte in edits:
+            i = int(where * len(data))
+            if op == "replace" and data:
+                data[i] = byte
+            elif op == "insert":
+                data.insert(i, byte)
+            elif data:
+                del data[i]
+        p = tmp_path_session / f"fuzz_{kind}.json"
+        p.write_bytes(bytes(data))
+        try:
+            model = load_model(p)
+        except ValueError:
+            return
+        probe = FeatureVector(values=np.zeros(len(model.layout)), layout=model.layout)
+        assert classify(model, probe) in GESTURE_LABELS

@@ -182,6 +182,15 @@ class TestRoundTrip:
         assert len(back) == 0
         assert back.metadata.sample_rate_hz == 449.0
 
+    @pytest.mark.parametrize("attr, col", SCALAR_COLUMNS)
+    def test_empty_trace_with_scalar_truth_rejected(self, tmp_path, attr, col):
+        """No row would hold the scalar, so load_trace could not return it."""
+        p = tmp_path / "t.csv"
+        tr = make_trace([], ground_truth=GroundTruth(label="punch", **{attr: 0.8}))
+        with pytest.raises(ValueError, match=f"empty trace .*{col}"):
+            save_trace(tr, p)
+        assert not p.exists()
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(3)
         tr = make_trace(rng.normal(size=64), ground_truth=GroundTruth(speed_mps=1.5))
