@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import typing
 from dataclasses import asdict, is_dataclass, replace
@@ -66,7 +65,7 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8 or an over-long integer
         raise UsageError(f"config file {path} is not valid JSON: {e}")
     except RecursionError:
         raise UsageError(f"config file {path} is nested too deeply to read")
@@ -115,7 +114,7 @@ def _field_value(value, kind, what: str):
         raise UsageError(f"bad {what} config: need an integer, not {value!r}")
     if kind is float and (isinstance(value, bool)
                           or not isinstance(value, (int, float))
-                          or not math.isfinite(value)):
+                          or not gesture._finite(value)):
         raise UsageError(f"bad {what} config: need a finite number, not {value!r}")
     return value
 
@@ -165,8 +164,8 @@ def _collect_traces(paths: list[str]) -> list[Path]:
 
 
 def _cmd_simulate(args, config: dict) -> int:
-    out = _out_dir(args)
     if args.kind == "corpora":
+        out = _out_dir(args)
         outputs, cfg_used = _write_corpora(out, args.seed)
         _write_manifest(out, "simulate corpora", args.seed, cfg_used,
                         inputs=[], outputs=outputs)
@@ -201,6 +200,7 @@ def _cmd_simulate(args, config: dict) -> int:
         trace = simulate_gesture(template, noise, seed=args.seed)
         cfg_used = {"template": asdict(template)}
 
+    out = _out_dir(args)
     path = out / f"{args.kind}.csv"
     save_trace(trace, path)
     _write_manifest(out, f"simulate {args.kind}", args.seed, cfg_used,
@@ -248,7 +248,10 @@ def _cmd_heartrate(args, config: dict) -> int:
     window = {} if args.window is None else {"window_s": args.window}
     cfg = _section(config, "heart", HeartRateConfig, **window)
     trace = load_trace(args.trace)
-    cfg = replace(cfg, sample_rate_hz=trace.metadata.sample_rate_hz)
+    try:
+        cfg = replace(cfg, sample_rate_hz=trace.metadata.sample_rate_hz)
+    except ValueError as e:
+        raise UsageError(f"bad heart config for {args.trace}: {e}")
     estimates = heart.stream_heart_rate(trace, cfg)
 
     out = _out_dir(args)
@@ -310,7 +313,6 @@ def _dominant_feature(trace, seg_cfg: SegmentationConfig):
 
 def _cmd_gesture(args, config: dict) -> int:
     seg_cfg = _section(config, "segmentation", SegmentationConfig)
-    out = _out_dir(args)
 
     if args.action == "train":
         entries = _read_gesture_manifest(Path(args.corpus))
@@ -325,6 +327,7 @@ def _cmd_gesture(args, config: dict) -> int:
             print(f"warning: no activity detected in {skipped} training "
                   f"trace(s); trained on {len(data)}", file=sys.stderr)
         model = gesture.train(data, kind=args.kind, seed=args.seed)
+        out = _out_dir(args)
         model_path = out / "model.json"
         gesture.save_model(model, model_path)
         _write_manifest(out, "gesture train", args.seed,
@@ -342,6 +345,7 @@ def _cmd_gesture(args, config: dict) -> int:
         else:
             label = gesture.classify(model, fv)
             print(label)
+        out = _out_dir(args)
         pred_path = out / "prediction.csv"
         write_rows(pred_path, ["file", "predicted"],
                    [[Path(args.trace).name, label or "(none)"]])
@@ -365,6 +369,7 @@ def _cmd_gesture(args, config: dict) -> int:
         raise UsageError("no gestures detected anywhere in the corpus")
     result = gesture.evaluate(model, data)
 
+    out = _out_dir(args)
     pred_path = out / "predictions.csv"
     write_rows(pred_path, ["file", "actual", "predicted"], rows)
     conf_path = out / "confusion.csv"
@@ -392,7 +397,6 @@ def _cmd_gesture(args, config: dict) -> int:
 
 def _cmd_speed(args, config: dict) -> int:
     cfg = _section(config, "speed", SpeedConfig)
-    out = _out_dir(args)
     files = _collect_traces(args.traces)
 
     if args.action == "calibrate":
@@ -416,6 +420,7 @@ def _cmd_speed(args, config: dict) -> int:
             print(f"warning: skipped {skipped} trace(s) without ground truth "
                   f"or crossing", file=sys.stderr)
         alpha, residual = speed.calibrate_alpha(points)
+        out = _out_dir(args)
         alpha_path = Path(args.alpha_file) if args.alpha_file else out / "alpha.txt"
         speed.save_alpha(alpha_path, args.link_id, alpha)
         cal_path = out / "calibration.csv"
@@ -458,6 +463,7 @@ def _cmd_speed(args, config: dict) -> int:
                          event.v_hat_mps, truth])
             if truth is not None:
                 errors.append(event.v_hat_mps - truth)
+    out = _out_dir(args)
     ev_path = out / "events.csv"
     write_rows(ev_path,
                ["file", "status", "t_cross_s", "f_min_av_hz", "v_hat_mps",

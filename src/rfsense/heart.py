@@ -42,6 +42,10 @@ _THRESHOLD_MARGIN = 10.0
 # near that memory budget: 16 rows at nfft = 65,536.
 _BLOCK_SAMPLES = _BLOCK // 4
 
+# Largest window or transform length a config may ask for: its power-of-two
+# nfft still fits a signed 64-bit array size.
+_MAX_SAMPLES = 2.0 ** 62
+
 
 @dataclass(frozen=True)
 class HeartRateConfig:
@@ -72,6 +76,15 @@ class HeartRateConfig:
             raise ValueError("sample_rate_hz must be positive")
         if self.psd_threshold is not None and self.psd_threshold <= 0:
             raise ValueError("psd_threshold must be positive when set")
+        # window_samples and nfft round these to array sizes; an infinite or
+        # huge one would overflow there, after the config was accepted.
+        for what, count in (
+                ("window_s * sample_rate_hz", self.window_s * self.sample_rate_hz),
+                ("60 * sample_rate_hz / nfft_target_resolution_bpm",
+                 60.0 * self.sample_rate_hz / self.nfft_target_resolution_bpm)):
+            if not count <= _MAX_SAMPLES:
+                raise ValueError(f"{what} is {count!r}, not a sample count "
+                                 f"up to 2**62")
 
     @property
     def window_samples(self) -> int:

@@ -17,9 +17,11 @@ The gesture label, being a string, lives in the header line as
 ``load_trace(save_trace(t)) == t`` exactly and repeated writes are
 byte-identical.
 
-save_trace formats the nominal time axis t[i] = i / sample_rate_hz once per
-sample rate and reuses that text for every trace whose timestamps equal it
-bit for bit; the memory bound is in its docstring.
+The nominal time axis t[i] = i / sample_rate_hz is held once per sample
+rate, as one read-only array and the repr of its elements. make_trace, and
+load_trace for a file whose t_s column equals it bit for bit, return a
+read-only prefix view of that array rather than an array of their own, and
+save_trace reuses its text; the memory bound is in save_trace's docstring.
 
 load_trace raises ValueError, prefixed with the path, for a file it cannot
 trust. Errors tied to one body row name it as ``path:line`` (the first data
@@ -116,6 +118,10 @@ class RssTrace:
 
     Every RSS sample must be finite: a NaN or an infinite sample raises
     ValueError here rather than reaching an estimator as a plausible number.
+
+    timestamps may be a read-only view of the shared nominal axis (see
+    make_trace): writing to it raises ValueError, and a caller that needs
+    other times builds a new array.
     """
 
     metadata: TraceMetadata
@@ -154,16 +160,53 @@ class RssTrace:
         return len(self.rss_db) / self.metadata.sample_rate_hz
 
 
+# (rate, np.arange(N) / rate, repr of its first elements) for the last rate
+# asked for; see _nominal_axis_at. The array is read-only and the tuple is
+# replaced in one assignment, never mutated, so a thread that read it keeps
+# a consistent triple and every view handed out stays valid.
+_nominal_axis: tuple[float, np.ndarray, list[str]] = (0.0, np.empty(0), [])
+
+
+def _nominal_axis_at(rate: float, n: int) -> tuple[float, np.ndarray, list[str]]:
+    """The cached nominal axis at `rate`, at least `n` samples long.
+
+    Element i of np.arange(N) / rate does not depend on N, so a longer axis
+    at the same rate keeps the bits (and the text) of a shorter one. It
+    grows at least twofold, so traces of rising length share a few arrays;
+    another rate replaces it.
+    """
+    global _nominal_axis
+    axis = cached_rate, values, text = _nominal_axis
+    if cached_rate != rate or len(values) < n:
+        same = cached_rate == rate
+        values = np.arange(max(n, 2 * len(values)) if same else n,
+                           dtype=np.float64) / rate
+        values.flags.writeable = False
+        axis = _nominal_axis = (rate, values, text if same else [])
+    return axis
+
+
+def _on_axis(t: np.ndarray, values: np.ndarray) -> bool:
+    """True when `t` equals the axis prefix bit for bit (-0.0 == 0.0, but
+    their reprs differ)."""
+    return np.array_equal(values[:len(t)].view(np.int64), t.view(np.int64))
+
+
 def make_trace(rss_db, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,
                center_freq_hz=DEFAULT_CENTER_FREQ_HZ,
                ground_truth: GroundTruth | None = None,
                extras: dict[str, str] | None = None) -> RssTrace:
-    """Build a trace with a uniform time axis t[i] = i / sample_rate."""
+    """Build a trace with a uniform time axis t[i] = i / sample_rate.
+
+    The timestamps are a read-only view of the axis cached for this rate,
+    shared with every other trace at that rate.
+    """
     rss_db = np.asarray(rss_db, dtype=np.float64)
-    t = np.arange(len(rss_db), dtype=np.float64) / sample_rate_hz
+    meta = TraceMetadata(sample_rate_hz, center_freq_hz, extras or {})
+    _, values, _ = _nominal_axis_at(sample_rate_hz, len(rss_db))
     return RssTrace(
-        metadata=TraceMetadata(sample_rate_hz, center_freq_hz, extras or {}),
-        timestamps=t,
+        metadata=meta,
+        timestamps=values[:len(rss_db)],
         rss_db=rss_db,
         ground_truth=ground_truth or GroundTruth(),
     )
@@ -179,28 +222,17 @@ def _header_escape(v: str) -> str:
     return v
 
 
-# (rate, np.arange(n) / rate, repr of each element) for the last rate
-# save_trace wrote; see save_trace for the reuse rules and memory bound.
-# It is replaced in one assignment, never mutated, so a thread that read it
-# keeps a consistent triple.
-_nominal_axis: tuple[float, np.ndarray, list[str]] = (0.0, np.empty(0), [])
-
-
 def _time_text(t: np.ndarray, rate: float):
-    """repr of each timestamp; the cached text when `t` is a prefix of the
-    nominal axis bit for bit (-0.0 == 0.0, but their reprs differ)."""
+    """repr of each timestamp; the cached text when `t` is on the nominal
+    axis."""
     global _nominal_axis
     n = len(t)
-    cached_rate, grid, text = _nominal_axis
-    if cached_rate != rate or len(grid) < n:
-        grid = np.arange(n, dtype=np.float64) / rate
-        if not np.array_equal(grid.view(np.int64), t.view(np.int64)):
-            return map(repr, t.tolist())
-        keep = len(text) if cached_rate == rate else 0
-        text = text[:keep] + list(map(repr, grid[keep:].tolist()))
-        _nominal_axis = (rate, grid, text)
-    elif not np.array_equal(grid[:n].view(np.int64), t.view(np.int64)):
+    _, values, text = _nominal_axis_at(rate, n)
+    if not _on_axis(t, values):
         return map(repr, t.tolist())
+    if len(text) < n:
+        text = text + list(map(repr, values[len(text):n].tolist()))
+        _nominal_axis = (rate, values, text)
     return text[:n]
 
 
@@ -209,14 +241,16 @@ def save_trace(trace: RssTrace, path: str | os.PathLike) -> None:
 
     The t_s text of a trace on the nominal axis np.arange(n) / rate (every
     make_trace and simulator trace, and every trace loaded from a file
-    written here) comes from one cached axis. Element i of that axis does
-    not depend on n, so a shorter trace at the same rate takes a prefix and
-    a longer one extends it; a trace at another rate replaces it. The cache
-    is used only when the timestamps equal the axis prefix bit for bit, so
-    any other axis (offset, jittered, a -0.0 start) is formatted as before
-    and the bytes never change. Memory: one axis, as long as the longest
-    trace written at the current rate, about 85 bytes per sample (0.75 MB
-    for a 20 s trace at 449 Hz, 11 MB for 300 s).
+    written here) comes from the one cached axis make_trace views: its
+    text is formatted once, up to the longest trace written at the current
+    rate, and a trace at another rate replaces the axis and its text. The
+    text is used only when the timestamps equal the axis prefix bit for
+    bit, so any other axis (offset, jittered, a -0.0 start) is formatted as
+    before and the bytes never change. Memory: one axis for the current
+    rate, at most twice as long as the longest trace made, loaded or
+    written at it (8 bytes per sample), plus about 85 bytes per sample of
+    text up to the longest trace written (0.75 MB for a 20 s trace at
+    449 Hz, 11 MB for 300 s).
 
     Scalar ground truth is stored on every row, so an empty trace that has
     any raises ValueError: its file would have no row to hold the value.
@@ -360,10 +394,11 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
     if data.shape[1] != len(colnames):
         raise ValueError(f"{path}: row width {data.shape[1]} != header width {len(colnames)}")
 
-    by_name = {name: data[:, i] for i, name in enumerate(colnames)}
+    by_name = dict(zip(colnames, data.T))
     gt = GroundTruth(label=label)
     if "gt_hr_bpm" in by_name:
-        gt.hr_bpm = by_name["gt_hr_bpm"]
+        # A copy: a column view would keep the whole parsed table alive.
+        gt.hr_bpm = by_name["gt_hr_bpm"].copy()
     for attr, col in _GT_SCALAR_COLUMNS:
         if col in by_name:
             setattr(gt, attr, _scalar(by_name[col], col, lines, path))
@@ -372,12 +407,15 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
         meta = TraceMetadata(sample_rate, center_freq, meta_pairs)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    _check_uniform(by_name["t_s"], sample_rate, lines, path)
+    t = by_name["t_s"]
+    _check_uniform(t, sample_rate, lines, path)
+    _, values, _ = _nominal_axis_at(sample_rate, len(t))
+    t = values[:len(t)] if _on_axis(t, values) else t.copy()
     try:
         return RssTrace(
             metadata=meta,
-            timestamps=by_name["t_s"],
-            rss_db=by_name["rss_db"],
+            timestamps=t,
+            rss_db=by_name["rss_db"].copy(),
             ground_truth=gt,
         )
     except ValueError as e:

@@ -12,7 +12,7 @@ import pytest
 
 from rfsense import cli, gesture
 from rfsense.sim import NoiseModel, VitalSignsProfile, simulate_vitals
-from rfsense.trace import load_trace, save_trace
+from rfsense.trace import load_trace, make_trace, save_trace
 
 
 def run(args):
@@ -153,6 +153,47 @@ class TestConfigValues:
         assert err.startswith(f"error: bad {section}.{key}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value, what", [
+        ("window_s", 10 ** 400, "bad heart.window_s config: need a finite number"),
+        ("window_s", 1e308, "bad heart config: window_s * sample_rate_hz is inf"),
+        ("nfft_target_resolution_bpm", 1e-320,
+         "bad heart config: 60 * sample_rate_hz / nfft_target_resolution_bpm is inf"),
+    ])
+    def test_value_past_a_sample_count_exits_2(self, key, value, what, vitals_dir,
+                                               tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"heart": {key: value}}))
+        rc = run(["heartrate", str(vitals_dir / "vitals.csv"), "--config", str(cfg),
+                  "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what}") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data", [b'{"heart": {"window_s": 1' + b"0" * 5000 + b"}}",
+                                      b'{"heart": {"window_s": 2\xff}}'])
+    def test_unparseable_config_exits_2(self, data, vitals_dir, tmp_path, capsys):
+        """Past 4,300 digits json.load refuses an integer with a plain
+        ValueError, and bad UTF-8 raises UnicodeDecodeError."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        rc = run(["heartrate", str(vitals_dir / "vitals.csv"), "--config", str(cfg),
+                  "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg} is not valid JSON")
+        assert not (tmp_path / "out").exists()
+
+    def test_trace_rate_past_a_sample_count_exits_2(self, tmp_path, capsys):
+        """The config is checked again at the trace's own sample rate."""
+        p = tmp_path / "fast.csv"
+        save_trace(make_trace(np.zeros(10), sample_rate_hz=1e300), p)
+        rc = run(["heartrate", str(p), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad heart config for {p}: window_s")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("window", ["inf", "nan", "0.5"])
     def test_bad_window_flag_exits_2(self, window, vitals_dir, tmp_path, capsys):
         rc = run(["heartrate", str(vitals_dir / "vitals.csv"), "--window", window,
@@ -223,8 +264,9 @@ class TestSimulate:
         assert trace.metadata.extras["angle_deg"] == repr(45.0)
 
     def test_unknown_gesture_label_rejected(self, tmp_path):
-        rc = run(["simulate", "gesture", "--label", "wave", "-o", str(tmp_path)])
+        rc = run(["simulate", "gesture", "--label", "wave", "-o", str(tmp_path / "out")])
         assert rc == 2
+        assert not (tmp_path / "out").exists()
 
     def test_bad_geometry_fails_nonzero(self, tmp_path):
         # crossing position outside the link
@@ -519,6 +561,19 @@ class TestGesture:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: {what}")
         assert "Traceback" not in err
+        assert not (tmp_path / "cls").exists()
+
+    def test_failed_train_and_eval_leave_no_output_dir(self, gesture_corpus, tmp_path):
+        train, test, seg_cfg = gesture_corpus
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "manifest.csv").write_text("file,label\n")
+        assert run(["gesture", "train", str(empty), "-o", str(tmp_path / "m")]) == 2
+        model = tmp_path / "model.json"
+        model.write_text("{}")
+        assert run(["gesture", "eval", str(test), "--model", str(model),
+                    "--config", str(seg_cfg), "-o", str(tmp_path / "e")]) == 1
+        assert not (tmp_path / "m").exists() and not (tmp_path / "e").exists()
 
 
 class TestSpeed:
@@ -580,8 +635,9 @@ class TestSpeed:
     def test_calibrate_needs_two_points(self, crossing_files, link_config,
                                         tmp_path):
         rc = run(["speed", "calibrate", str(crossing_files[0]),
-                  "--config", str(link_config), "-o", str(tmp_path)])
+                  "--config", str(link_config), "-o", str(tmp_path / "out")])
         assert rc == 2
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-1.5", "0", "abc"])
@@ -595,6 +651,7 @@ class TestSpeed:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {alpha}:3: alpha must be a finite positive")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_varying_truth_speed_exits_1_naming_the_line(
             self, calibrated, crossing_files, tmp_path, capsys):
@@ -612,6 +669,7 @@ class TestSpeed:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:500: gt_speed_mps is 1.7 here")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTables:

@@ -79,6 +79,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             HeartRateConfig(psd_threshold=0.0)
 
+    @pytest.mark.parametrize("fields, what", [
+        ({"window_s": 1e308}, "window_s \\* sample_rate_hz is inf"),
+        ({"window_s": float("nan")}, "window_s \\* sample_rate_hz is nan"),
+        ({"window_s": 1e17}, "window_s \\* sample_rate_hz is 4.49e\\+19"),
+        ({"sample_rate_hz": 1e300}, "window_s \\* sample_rate_hz is 2e\\+301"),
+        ({"nfft_target_resolution_bpm": 1e-320}, "nfft_target_resolution_bpm is inf"),
+    ])
+    def test_sample_counts_past_array_sizes_rejected(self, fields, what):
+        """window_samples and nfft would overflow, or ask for arrays no
+        machine holds; the config is refused before anything is sized."""
+        with pytest.raises(ValueError, match=f"{what}, not a sample count"):
+            HeartRateConfig(**fields)
+
+    def test_largest_sample_counts_accepted(self):
+        cfg = HeartRateConfig(window_s=2.0 ** 62 / FS,
+                              nfft_target_resolution_bpm=60.0 * FS / 2.0 ** 62)
+        assert cfg.window_samples <= cfg.nfft == 2 ** 62
+
     def test_estimate_field_coupling(self):
         with pytest.raises(ValueError):
             HeartRateEstimate(0.0, 72.0, 1.0, "suppressed_motion")
