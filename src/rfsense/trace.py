@@ -17,11 +17,11 @@ The gesture label, being a string, lives in the header line as
 ``load_trace(save_trace(t)) == t`` exactly and repeated writes are
 byte-identical.
 
-The nominal time axis t[i] = i / sample_rate_hz is held once per sample
-rate, as one read-only array and the repr of its elements. make_trace, and
-load_trace for a file whose t_s column equals it bit for bit, return a
-read-only prefix view of that array rather than an array of their own, and
-save_trace reuses its text; the memory bound is in save_trace's docstring.
+The nominal time axis t[i] = i / sample_rate_hz is held once, for the most
+recent sample rate, as one read-only array and the repr of its elements.
+make_trace returns a read-only prefix view of that array rather than an
+array of its own, and save_trace reuses its text; the memory bound is in
+save_trace's docstring.
 
 load_trace raises ValueError, prefixed with the path, for a file it cannot
 trust. Errors tied to one body row name it as ``path:line`` (the first data
@@ -171,25 +171,16 @@ def _nominal_axis_at(rate: float, n: int) -> tuple[float, np.ndarray, list[str]]
     """The cached nominal axis at `rate`, at least `n` samples long.
 
     Element i of np.arange(N) / rate does not depend on N, so a longer axis
-    at the same rate keeps the bits (and the text) of a shorter one. It
-    grows at least twofold, so traces of rising length share a few arrays;
-    another rate replaces it.
+    at the same rate keeps the bits (and the text) of a shorter one, and
+    views of the shorter one stay valid; another rate replaces it.
     """
     global _nominal_axis
     axis = cached_rate, values, text = _nominal_axis
     if cached_rate != rate or len(values) < n:
-        same = cached_rate == rate
-        values = np.arange(max(n, 2 * len(values)) if same else n,
-                           dtype=np.float64) / rate
+        values = np.arange(n, dtype=np.float64) / rate
         values.flags.writeable = False
-        axis = _nominal_axis = (rate, values, text if same else [])
+        axis = _nominal_axis = (rate, values, text if cached_rate == rate else [])
     return axis
-
-
-def _on_axis(t: np.ndarray, values: np.ndarray) -> bool:
-    """True when `t` equals the axis prefix bit for bit (-0.0 == 0.0, but
-    their reprs differ)."""
-    return np.array_equal(values[:len(t)].view(np.int64), t.view(np.int64))
 
 
 def make_trace(rss_db, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ,
@@ -223,12 +214,12 @@ def _header_escape(v: str) -> str:
 
 
 def _time_text(t: np.ndarray, rate: float):
-    """repr of each timestamp; the cached text when `t` is on the nominal
-    axis."""
+    """repr of each timestamp; the cached text when `t` is a prefix of the
+    nominal axis bit for bit (-0.0 == 0.0, but their reprs differ)."""
     global _nominal_axis
     n = len(t)
     _, values, text = _nominal_axis_at(rate, n)
-    if not _on_axis(t, values):
+    if not np.array_equal(values[:n].view(np.int64), t.view(np.int64)):
         return map(repr, t.tolist())
     if len(text) < n:
         text = text + list(map(repr, values[len(text):n].tolist()))
@@ -242,12 +233,12 @@ def save_trace(trace: RssTrace, path: str | os.PathLike) -> None:
     The t_s text of a trace on the nominal axis np.arange(n) / rate (every
     make_trace and simulator trace, and every trace loaded from a file
     written here) comes from the one cached axis make_trace views: its
-    text is formatted once, up to the longest trace written at the current
-    rate, and a trace at another rate replaces the axis and its text. The
-    text is used only when the timestamps equal the axis prefix bit for
-    bit, so any other axis (offset, jittered, a -0.0 start) is formatted as
-    before and the bytes never change. Memory: one axis for the current
-    rate, at most twice as long as the longest trace made, loaded or
+    text is formatted once, up to the longest trace written at the most
+    recent rate, and a trace at another rate (on the axis or not) replaces
+    the axis and its text. The text is used only when the timestamps equal
+    the axis prefix bit for bit, so any other axis (offset, jittered, a
+    -0.0 start) is formatted as before and the bytes never change. Memory:
+    one axis for the most recent rate, as long as the longest trace made or
     written at it (8 bytes per sample), plus about 85 bytes per sample of
     text up to the longest trace written (0.75 MB for a 20 s trace at
     449 Hz, 11 MB for 300 s).
@@ -394,11 +385,10 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
     if data.shape[1] != len(colnames):
         raise ValueError(f"{path}: row width {data.shape[1]} != header width {len(colnames)}")
 
-    by_name = dict(zip(colnames, data.T))
+    by_name = {name: data[:, i] for i, name in enumerate(colnames)}
     gt = GroundTruth(label=label)
     if "gt_hr_bpm" in by_name:
-        # A copy: a column view would keep the whole parsed table alive.
-        gt.hr_bpm = by_name["gt_hr_bpm"].copy()
+        gt.hr_bpm = by_name["gt_hr_bpm"]
     for attr, col in _GT_SCALAR_COLUMNS:
         if col in by_name:
             setattr(gt, attr, _scalar(by_name[col], col, lines, path))
@@ -407,15 +397,12 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
         meta = TraceMetadata(sample_rate, center_freq, meta_pairs)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    t = by_name["t_s"]
-    _check_uniform(t, sample_rate, lines, path)
-    _, values, _ = _nominal_axis_at(sample_rate, len(t))
-    t = values[:len(t)] if _on_axis(t, values) else t.copy()
+    _check_uniform(by_name["t_s"], sample_rate, lines, path)
     try:
         return RssTrace(
             metadata=meta,
-            timestamps=t,
-            rss_db=by_name["rss_db"].copy(),
+            timestamps=by_name["t_s"],
+            rss_db=by_name["rss_db"],
             ground_truth=gt,
         )
     except ValueError as e:
