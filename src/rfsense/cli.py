@@ -2,9 +2,13 @@
 
 Subcommands: simulate (vitals|crossing|gesture|corpora), heartrate,
 gesture (train|classify|eval), speed (calibrate|estimate), version.
-Every run writes its outputs plus a manifest.json snapshotting command,
-seed, and effective configuration; nothing written carries a timestamp,
-so a rerun with the same arguments produces byte-identical files.
+Each command reads its inputs and computes its results first; only then
+does `_write_outputs` make the `-o` directory, write the files and add a
+manifest.json snapshotting command, seed, effective configuration and
+every file written under `-o` (an `--alpha-file` outside it is written but
+not listed). A failed run leaves no `-o` directory. Nothing written
+carries a timestamp, so a rerun with the same arguments produces
+byte-identical files.
 
 Configuration comes from module defaults, optionally overridden by a JSON
 config file (sections: heart, segmentation, speed, vitals, noise, link,
@@ -19,6 +23,7 @@ import json
 import sys
 import typing
 from dataclasses import asdict, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__, gesture, heart, speed
@@ -108,36 +113,44 @@ def _field_value(value, kind, what: str):
         (kind,) = (k for k in options if k is not type(None))
     if is_dataclass(kind):
         return _dataclass_from(value, kind, what)
-    if kind is tuple and isinstance(value, list):
+    if kind is tuple:
+        if not isinstance(value, list):
+            raise UsageError(f"bad {what} config: need a JSON array, not {value!r}")
         return tuple(value)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+    if kind is int and not gesture._is_int(value):
         raise UsageError(f"bad {what} config: need an integer, not {value!r}")
-    if kind is float and (isinstance(value, bool)
-                          or not isinstance(value, (int, float))
-                          or not gesture._finite(value)):
+    if kind is float and not gesture._finite(value):
         raise UsageError(f"bad {what} config: need a finite number, not {value!r}")
     return value
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.output)
+def _write_json(doc, path: Path) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _table(header: list[str], rows: list[list]):
+    """Writer of one CSV table, for `_write_outputs`."""
+    return partial(write_rows, header=header, rows=rows)
+
+
+def _write_outputs(out: Path, command: str, seed: int, config_used: dict,
+                   inputs: list, files: dict) -> int:
+    """Make the `-o` directory `out`, write each file (`files` maps its path
+    to a function that writes that path), then write manifest.json listing
+    every file that landed under `out`. Commands call this once, after their
+    inputs are read and their results computed. Returns exit status 0."""
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out: Path, command: str, seed: int, config_used: dict,
-                    inputs: list, outputs: list) -> Path:
-    payload = {
-        "command": command,
-        "config": config_used,
-        "inputs": [str(p) for p in inputs],
-        "outputs": sorted(str(Path(p).relative_to(out)) for p in outputs),
-        "seed": seed,
-        "version": __version__,
-    }
-    path = out / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    root = out.resolve()
+    written = []
+    for path, write in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+        if (where := path.resolve()).is_relative_to(root):
+            written.append(str(where.relative_to(root)))
+    _write_json({"command": command, "config": config_used,
+                 "inputs": [str(p) for p in inputs], "outputs": sorted(written),
+                 "seed": seed, "version": __version__}, out / "manifest.json")
+    return 0
 
 
 def _collect_traces(paths: list[str]) -> list[Path]:
@@ -164,12 +177,10 @@ def _collect_traces(paths: list[str]) -> list[Path]:
 
 
 def _cmd_simulate(args, config: dict) -> int:
+    out = Path(args.output)
     if args.kind == "corpora":
-        out = _out_dir(args)
-        outputs, cfg_used = _write_corpora(out, args.seed)
-        _write_manifest(out, "simulate corpora", args.seed, cfg_used,
-                        inputs=[], outputs=outputs)
-        return 0
+        files, cfg_used = _corpus_files(out, args.seed)
+        return _write_outputs(out, "simulate corpora", args.seed, cfg_used, [], files)
 
     noise = _section(config, "noise", NoiseModel, seed=args.seed)
     if args.kind == "vitals":
@@ -200,32 +211,24 @@ def _cmd_simulate(args, config: dict) -> int:
         trace = simulate_gesture(template, noise, seed=args.seed)
         cfg_used = {"template": asdict(template)}
 
-    out = _out_dir(args)
-    path = out / f"{args.kind}.csv"
-    save_trace(trace, path)
-    _write_manifest(out, f"simulate {args.kind}", args.seed, cfg_used,
-                    inputs=[], outputs=[path])
-    return 0
+    return _write_outputs(out, f"simulate {args.kind}", args.seed, cfg_used, [],
+                          {out / f"{args.kind}.csv": partial(save_trace, trace)})
 
 
-def _write_corpora(out: Path, seed: int) -> tuple[list[Path], dict]:
+def _corpus_files(out: Path, seed: int) -> tuple[dict, dict]:
+    """The corpora's files for `_write_outputs`, and the corpus config."""
     corpora = make_corpora(seed)
-    outputs: list[Path] = []
-
+    files = {}
     for name in ("vitals", "crossing", "gesture_train", "gesture_test"):
-        d = out / name
-        d.mkdir(parents=True, exist_ok=True)
         rows = []
         for trace in corpora[name]:
-            path = d / f"{trace.metadata.extras['trace_id']}.csv"
-            save_trace(trace, path)
-            outputs.append(path)
+            path = out / name / f"{trace.metadata.extras['trace_id']}.csv"
+            files[path] = partial(save_trace, trace)
             gt = trace.ground_truth
             rows.append([path.name, gt.label, gt.start_s, gt.end_s])
         if name.startswith("gesture"):
-            manifest = d / "manifest.csv"
-            write_rows(manifest, ["file", "label", "start_s", "end_s"], rows)
-            outputs.append(manifest)
+            files[out / name / "manifest.csv"] = _table(
+                ["file", "label", "start_s", "end_s"], rows)
 
     # threshold calibrated against an empty scene with the same noise seed
     thr = corpus_speed_config(seed).crossing_threshold_hz
@@ -233,10 +236,8 @@ def _write_corpora(out: Path, seed: int) -> tuple[list[Path], dict]:
         "segmentation": dict(CORPUS_SEGMENTATION),
         "speed": {**CORPUS_SPEED, "crossing_threshold_hz": thr},
     }
-    cfg_path = out / "corpus_config.json"
-    cfg_path.write_text(json.dumps(corpus_config, indent=2, sort_keys=True) + "\n")
-    outputs.append(cfg_path)
-    return outputs, corpus_config
+    files[out / "corpus_config.json"] = partial(_write_json, corpus_config)
+    return files, corpus_config
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +255,6 @@ def _cmd_heartrate(args, config: dict) -> int:
         raise UsageError(f"bad heart config for {args.trace}: {e}")
     estimates = heart.stream_heart_rate(trace, cfg)
 
-    out = _out_dir(args)
-    est_path = out / "estimates.csv"
-    write_rows(est_path, ["t_s", "bpm", "status", "peak_power"],
-               [[e.time_s, e.bpm, e.status, e.peak_power] for e in estimates])
-    outputs = [est_path]
-
     usable = [e for e in estimates if e.status == heart.STATUS_ESTIMATE]
     summary = [
         ["n_updates", len(estimates)],
@@ -269,13 +264,13 @@ def _cmd_heartrate(args, config: dict) -> int:
     ]
     if trace.ground_truth.hr_bpm is not None and usable:
         summary.append(["rmse_bpm", rmse(hr_errors(trace, estimates))])
-    sum_path = out / "summary.csv"
-    write_rows(sum_path, ["metric", "value"], summary)
-    outputs.append(sum_path)
-
-    _write_manifest(out, "heartrate", args.seed, {"heart": asdict(cfg)},
-                    inputs=[args.trace], outputs=outputs)
-    return 0
+    out = Path(args.output)
+    return _write_outputs(out, "heartrate", args.seed, {"heart": asdict(cfg)},
+                          [args.trace], {
+        out / "estimates.csv": _table(
+            ["t_s", "bpm", "status", "peak_power"],
+            [[e.time_s, e.bpm, e.status, e.peak_power] for e in estimates]),
+        out / "summary.csv": _table(["metric", "value"], summary)})
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +308,8 @@ def _dominant_feature(trace, seg_cfg: SegmentationConfig):
 
 def _cmd_gesture(args, config: dict) -> int:
     seg_cfg = _section(config, "segmentation", SegmentationConfig)
+    cfg_used = {"segmentation": asdict(seg_cfg)}
+    out = Path(args.output)
 
     if args.action == "train":
         entries = _read_gesture_manifest(Path(args.corpus))
@@ -327,13 +324,9 @@ def _cmd_gesture(args, config: dict) -> int:
             print(f"warning: no activity detected in {skipped} training "
                   f"trace(s); trained on {len(data)}", file=sys.stderr)
         model = gesture.train(data, kind=args.kind, seed=args.seed)
-        out = _out_dir(args)
-        model_path = out / "model.json"
-        gesture.save_model(model, model_path)
-        _write_manifest(out, "gesture train", args.seed,
-                        {"segmentation": asdict(seg_cfg), "kind": args.kind},
-                        inputs=[args.corpus], outputs=[model_path])
-        return 0
+        return _write_outputs(out, "gesture train", args.seed,
+                              {**cfg_used, "kind": args.kind}, [args.corpus],
+                              {out / "model.json": partial(gesture.save_model, model)})
 
     model = gesture.load_model(args.model)
 
@@ -345,14 +338,10 @@ def _cmd_gesture(args, config: dict) -> int:
         else:
             label = gesture.classify(model, fv)
             print(label)
-        out = _out_dir(args)
-        pred_path = out / "prediction.csv"
-        write_rows(pred_path, ["file", "predicted"],
-                   [[Path(args.trace).name, label or "(none)"]])
-        _write_manifest(out, "gesture classify", args.seed,
-                        {"segmentation": asdict(seg_cfg)},
-                        inputs=[args.trace, args.model], outputs=[pred_path])
-        return 0
+        return _write_outputs(out, "gesture classify", args.seed, cfg_used,
+                              [args.trace, args.model], {
+            out / "prediction.csv": _table(
+                ["file", "predicted"], [[Path(args.trace).name, label or "(none)"]])})
 
     # eval
     entries = _read_gesture_manifest(Path(args.corpus))
@@ -369,25 +358,19 @@ def _cmd_gesture(args, config: dict) -> int:
         raise UsageError("no gestures detected anywhere in the corpus")
     result = gesture.evaluate(model, data)
 
-    out = _out_dir(args)
-    pred_path = out / "predictions.csv"
-    write_rows(pred_path, ["file", "actual", "predicted"], rows)
-    conf_path = out / "confusion.csv"
     conf_rows = [[GESTURE_LABELS[i]] + [float(x) for x in result.confusion[i]]
                  for i in range(len(GESTURE_LABELS))]
-    write_rows(conf_path, ["predicted\\actual"] + list(GESTURE_LABELS), conf_rows)
-    sum_path = out / "summary.csv"
     summary = [["mean_accuracy", result.mean_accuracy],
                ["n_samples", result.n_samples],
                ["n_undetected", len(rows) - len(data)]]
     summary += [[f"accuracy_{label}", acc]
                 for label, acc in sorted(result.per_class_accuracy.items())]
-    write_rows(sum_path, ["metric", "value"], summary)
-    _write_manifest(out, "gesture eval", args.seed,
-                    {"segmentation": asdict(seg_cfg)},
-                    inputs=[args.corpus, args.model],
-                    outputs=[pred_path, conf_path, sum_path])
-    return 0
+    return _write_outputs(out, "gesture eval", args.seed, cfg_used,
+                          [args.corpus, args.model], {
+        out / "predictions.csv": _table(["file", "actual", "predicted"], rows),
+        out / "confusion.csv": _table(["predicted\\actual"] + list(GESTURE_LABELS),
+                                      conf_rows),
+        out / "summary.csv": _table(["metric", "value"], summary)})
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +381,7 @@ def _cmd_gesture(args, config: dict) -> int:
 def _cmd_speed(args, config: dict) -> int:
     cfg = _section(config, "speed", SpeedConfig)
     files = _collect_traces(args.traces)
+    out = Path(args.output)
 
     if args.action == "calibrate":
         points, rows, skipped = [], [], 0
@@ -420,22 +404,15 @@ def _cmd_speed(args, config: dict) -> int:
             print(f"warning: skipped {skipped} trace(s) without ground truth "
                   f"or crossing", file=sys.stderr)
         alpha, residual = speed.calibrate_alpha(points)
-        out = _out_dir(args)
         alpha_path = Path(args.alpha_file) if args.alpha_file else out / "alpha.txt"
-        speed.save_alpha(alpha_path, args.link_id, alpha)
-        cal_path = out / "calibration.csv"
-        write_rows(cal_path, ["file", "f_min_av_hz", "speed_mps"], rows)
-        sum_path = out / "summary.csv"
-        write_rows(sum_path, ["metric", "value"],
-                   [["alpha_m", alpha], ["fit_rmse_mps", residual],
-                    ["n_points", len(points)]])
-        outputs = [cal_path, sum_path]
-        if alpha_path.resolve().is_relative_to(out.resolve()):
-            outputs.append(alpha_path)
-        _write_manifest(out, "speed calibrate", args.seed,
-                        {"speed": asdict(cfg), "link_id": args.link_id},
-                        inputs=[str(p) for p in files], outputs=outputs)
-        return 0
+        alphas = speed.alphas_with(alpha_path, args.link_id, alpha)
+        cfg_used = {"speed": asdict(cfg), "link_id": args.link_id}
+        return _write_outputs(out, "speed calibrate", args.seed, cfg_used, files, {
+            alpha_path: partial(speed.save_alpha, alphas=alphas),
+            out / "calibration.csv": _table(["file", "f_min_av_hz", "speed_mps"], rows),
+            out / "summary.csv": _table(["metric", "value"], [
+                ["alpha_m", alpha], ["fit_rmse_mps", residual],
+                ["n_points", len(points)]])})
 
     # estimate
     if not args.alpha_file:
@@ -463,21 +440,15 @@ def _cmd_speed(args, config: dict) -> int:
                          event.v_hat_mps, truth])
             if truth is not None:
                 errors.append(event.v_hat_mps - truth)
-    out = _out_dir(args)
-    ev_path = out / "events.csv"
-    write_rows(ev_path,
-               ["file", "status", "t_cross_s", "f_min_av_hz", "v_hat_mps",
-                "gt_speed_mps"], rows)
     summary = [["alpha_m", alpha], ["n_traces", len(files)],
                ["n_crossings", sum(r[1] == "ok" for r in rows)]]
     if errors:
         summary.append(["rmse_mps", rmse(errors)])
-    sum_path = out / "summary.csv"
-    write_rows(sum_path, ["metric", "value"], summary)
-    _write_manifest(out, "speed estimate", args.seed,
-                    {"speed": asdict(cfg), "link_id": args.link_id},
-                    inputs=[str(p) for p in files], outputs=[ev_path, sum_path])
-    return 0
+    cfg_used = {"speed": asdict(cfg), "link_id": args.link_id}
+    return _write_outputs(out, "speed estimate", args.seed, cfg_used, files, {
+        out / "events.csv": _table(["file", "status", "t_cross_s", "f_min_av_hz",
+                                    "v_hat_mps", "gt_speed_mps"], rows),
+        out / "summary.csv": _table(["metric", "value"], summary)})
 
 
 # ---------------------------------------------------------------------------

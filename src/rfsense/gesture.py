@@ -501,8 +501,10 @@ def _is_int(value) -> bool:
 
 
 def _finite(value) -> bool:
-    """True for a JSON number that is a finite float (an int too large to
-    convert is not)."""
+    """True for a JSON number (not a bool) that is a finite float (an int
+    too large to convert is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:
@@ -535,10 +537,8 @@ def _is_tree(tree, n_features: int, n_classes: int) -> bool:
             if not (_is_int(node["leaf"]) and 0 <= node["leaf"] < n_classes):
                 return False
         elif node.keys() == {"feature", "threshold", "left", "right"}:
-            thr = node["threshold"]
             if not (_is_int(node["feature"]) and 0 <= node["feature"] < n_features
-                    and isinstance(thr, (int, float)) and not isinstance(thr, bool)
-                    and _finite(thr)):
+                    and _finite(node["threshold"])):
                 return False
             stack += (node["left"], node["right"])
         else:

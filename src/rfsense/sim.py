@@ -47,6 +47,8 @@ class LinkGeometry:
     wavelength_m: float = 0.69
 
     def __post_init__(self):
+        if len(self.tx) != 2 or len(self.rx) != 2:
+            raise ValueError("tx and rx must be (x, y) points")
         if self.wavelength_m <= 0:
             raise ValueError("wavelength must be positive")
         if self.d <= 0:

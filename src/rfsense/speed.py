@@ -165,20 +165,24 @@ def calibrate_alpha(points: list[tuple[float, float]]) -> tuple[float, float]:
     return alpha, rmse
 
 
-def save_alpha(path, link_id: str, alpha: float) -> None:
-    """One `<link_id>,alpha=<float>` line per link; rewrites in place."""
+def alphas_with(path, link_id: str, alpha: float) -> dict[str, float]:
+    """The alphas stored in sidecar `path` ({} when it does not exist), with
+    `link_id` set to `alpha`: what save_alpha then writes."""
     if "," in link_id or "\n" in link_id:
         raise ValueError("link_id must not contain commas or newlines")
-    entries: dict[str, float] = {}
     try:
-        entries = dict(_read_alpha_lines(path))
+        alphas = dict(_read_alpha_lines(path))
     except FileNotFoundError:
-        pass
-    entries[link_id] = alpha
-    with open(path, "w") as fh:
+        alphas = {}
+    return {**alphas, link_id: alpha}
+
+
+def save_alpha(path, alphas: dict[str, float]) -> None:
+    """One `<link_id>,alpha=<float>` line per link, sorted; rewrites `path`."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(ALPHA_SIDECAR_MAGIC + "\n")
-        for key in sorted(entries):
-            fh.write(f"{key},alpha={entries[key]!r}\n")
+        for key in sorted(alphas):
+            fh.write(f"{key},alpha={alphas[key]!r}\n")
 
 
 def load_alpha(path, link_id: str) -> float:
@@ -190,24 +194,27 @@ def load_alpha(path, link_id: str) -> float:
 
 def _read_alpha_lines(path):
     """(link_id, alpha) per entry; a malformed line, or an alpha that is not
-    a finite positive number, raises ValueError naming `path:line`."""
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-        if first != ALPHA_SIDECAR_MAGIC:
-            raise ValueError(f"{path}:1: not an alpha sidecar: leading line {first!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, _, tail = line.partition(",")
-            if not tail.startswith("alpha="):
-                raise ValueError(f"{path}:{lineno}: malformed sidecar line {line!r}")
-            text = tail[len("alpha="):]
-            try:
-                alpha = float(text)
-            except ValueError:
-                alpha = math.nan
-            if not (math.isfinite(alpha) and alpha > 0):
-                raise ValueError(f"{path}:{lineno}: alpha must be a finite positive "
-                                 f"number, not {text!r}")
-            yield key, alpha
+    a finite positive number, raises ValueError naming `path:line`; a file
+    that is not UTF-8 text raises ValueError naming `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first, *lines = fh.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not an alpha sidecar: {e}") from None
+    if first != ALPHA_SIDECAR_MAGIC:
+        raise ValueError(f"{path}:1: not an alpha sidecar: leading line {first!r}")
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        key, _, tail = line.partition(",")
+        if not tail.startswith("alpha="):
+            raise ValueError(f"{path}:{lineno}: malformed sidecar line {line!r}")
+        text = tail[len("alpha="):]
+        try:
+            alpha = float(text)
+        except ValueError:
+            alpha = math.nan
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"{path}:{lineno}: alpha must be a finite positive "
+                             f"number, not {text!r}")
+        yield key, alpha

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, config plumbing, reproducibility."""
 
+import contextlib
 import csv
 import filecmp
+import io
 import json
 import shutil
 import subprocess
@@ -9,9 +11,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfsense import cli, gesture
-from rfsense.sim import NoiseModel, VitalSignsProfile, simulate_vitals
+from rfsense.sim import (DEFAULT_TEMPLATES, NoiseModel, VitalSignsProfile, _with_id,
+                         simulate_gesture, simulate_vitals)
 from rfsense.trace import load_trace, make_trace, save_trace
 
 
@@ -85,6 +90,30 @@ def gesture_corpus(tmp_path_factory):
     return train, test, seg_cfg
 
 
+@pytest.fixture
+def tiny_corpora(monkeypatch):
+    """`simulate corpora` on one vitals and one gesture trace, no crossings."""
+    def make(seed, fs=449.0):
+        noise = NoiseModel(seed=seed)
+        vit = _with_id(simulate_vitals(VitalSignsProfile(), noise, 10.0), "vitals_0")
+        ges = _with_id(
+            simulate_gesture(DEFAULT_TEMPLATES["punch"], noise, seed=seed),
+            "gesture_punch_00")
+        return {"vitals": [vit], "gesture_train": [ges],
+                "gesture_test": [ges], "crossing": []}
+
+    monkeypatch.setattr(cli, "make_corpora", make)
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory, gesture_corpus):
+    train, _, seg_cfg = gesture_corpus
+    out = tmp_path_factory.mktemp("model")
+    assert run(["gesture", "train", str(train), "--kind", "knn",
+                "--config", str(seg_cfg), "-o", str(out)]) == 0
+    return out / "model.json"
+
+
 class TestVersionAndParsing:
     def test_version_prints_and_exits_zero(self, capsys):
         assert run(["version"]) == 0
@@ -152,6 +181,20 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad {section}.{key}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rx, what", [
+        ({"0": 1.0}, "bad link.rx config: need a JSON array, not {'0': 1.0}"),
+        ([1.0], "bad link config: tx and rx must be (x, y) points"),
+    ])
+    def test_link_point_that_is_not_a_pair_exits_2(self, rx, what, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"link": {"rx": rx}}))
+        rc = run(["simulate", "crossing", "--config", str(cfg),
+                  "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what}") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, what", [
         ("window_s", 10 ** 400, "bad heart.window_s config: need a finite number"),
@@ -274,22 +317,7 @@ class TestSimulate:
                   "-o", str(tmp_path)])
         assert rc != 0
 
-    def test_corpora_layout(self, tmp_path, monkeypatch):
-        from rfsense.sim import (DEFAULT_TEMPLATES, NoiseModel,
-                                 VitalSignsProfile, simulate_gesture,
-                                 simulate_vitals, _with_id)
-
-        def tiny_corpora(seed, fs=449.0):
-            quiet = VitalSignsProfile()
-            noise = NoiseModel(seed=seed)
-            vit = _with_id(simulate_vitals(quiet, noise, 10.0), "vitals_0")
-            ges = _with_id(
-                simulate_gesture(DEFAULT_TEMPLATES["punch"], noise, seed=seed),
-                "gesture_punch_00")
-            return {"vitals": [vit], "gesture_train": [ges],
-                    "gesture_test": [ges], "crossing": []}
-
-        monkeypatch.setattr(cli, "make_corpora", tiny_corpora)
+    def test_corpora_layout(self, tmp_path, tiny_corpora):
         rc = run(["simulate", "corpora", "--seed", "5", "-o", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "vitals" / "vitals_0.csv").exists()
@@ -670,6 +698,171 @@ class TestSpeed:
         assert err.startswith(f"error: {path}:500: gt_speed_mps is 1.7 here")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+    def test_alpha_file_inside_output_named_by_absolute_path(
+            self, crossing_files, link_config, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = run(["speed", "calibrate", *map(str, crossing_files),
+                  "--config", str(link_config), "-o", "out",
+                  "--alpha-file", str(tmp_path / "out" / "alpha.txt")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["outputs"] == ["alpha.txt", "calibration.csv", "summary.csv"]
+
+    def test_alpha_file_inside_output_through_dot_dot(
+            self, crossing_files, link_config, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out3" / "sub").mkdir(parents=True)
+        rc = run(["speed", "calibrate", *map(str, crossing_files),
+                  "--config", str(link_config), "-o", "out3",
+                  "--alpha-file", "out3/sub/../alpha.txt"])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "out3" / "manifest.json").read_text())
+        assert manifest["outputs"] == ["alpha.txt", "calibration.csv", "summary.csv"]
+
+    def test_alpha_file_outside_output_is_written_not_listed(
+            self, crossing_files, link_config, tmp_path):
+        alpha = tmp_path / "links" / "alpha.txt"
+        rc = run(["speed", "calibrate", *map(str, crossing_files),
+                  "--config", str(link_config), "-o", str(tmp_path / "out"),
+                  "--alpha-file", str(alpha)])
+        assert rc == 0
+        assert alpha.read_text().startswith("# rfsense-alpha-v1\ndefault,alpha=")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["outputs"] == ["calibration.csv", "summary.csv"]
+
+    def test_malformed_existing_sidecar_leaves_no_output_dir(
+            self, crossing_files, link_config, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# rfsense-alpha-v1\nfoo\n")
+        rc = run(["speed", "calibrate", *map(str, crossing_files),
+                  "--config", str(link_config), "--alpha-file", str(bad),
+                  "-o", str(tmp_path / "e6")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: malformed sidecar line 'foo'")
+        assert not (tmp_path / "e6").exists()
+        assert bad.read_text() == "# rfsense-alpha-v1\nfoo\n"
+
+    @pytest.mark.parametrize("action", ["estimate", "calibrate"])
+    def test_non_utf8_sidecar_exits_1_naming_the_file(
+            self, action, crossing_files, link_config, tmp_path, capsys):
+        bad = tmp_path / "alpha.txt"
+        bad.write_bytes(b"# rfsense-alpha-v1\ndefault,alpha=1.5\xff\n")
+        rc = run(["speed", action, *map(str, crossing_files),
+                  "--config", str(link_config), "--alpha-file", str(bad),
+                  "-o", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not an alpha sidecar: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", [
+        "simulate vitals", "simulate crossing", "simulate gesture",
+        "simulate corpora", "heartrate", "gesture train", "gesture classify",
+        "gesture eval", "speed calibrate", "speed estimate"])
+    def test_outputs_are_the_files_written(
+            self, command, request, vitals_dir, crossing_files, link_config,
+            calibrated, gesture_corpus, trained_model, tmp_path):
+        train, test, seg_cfg = gesture_corpus
+        seg = ["--config", str(seg_cfg)]
+        walks = [*map(str, crossing_files), "--config", str(link_config)]
+        args = {
+            "simulate vitals": ["--duration", "5"],
+            "simulate crossing": [],
+            "simulate gesture": ["--label", "drag"],
+            "simulate corpora": [],
+            "heartrate": [str(vitals_dir / "vitals.csv")],
+            "gesture train": [str(train), *seg],
+            "gesture classify": ["--trace", str(test / "punch_0.csv"),
+                                 "--model", str(trained_model), *seg],
+            "gesture eval": [str(test), "--model", str(trained_model), *seg],
+            "speed calibrate": walks,
+            "speed estimate": [*walks, "--alpha-file", str(calibrated / "alpha.txt")],
+        }[command]
+        if command == "simulate corpora":
+            request.getfixturevalue("tiny_corpora")
+        out = tmp_path / "out"
+        assert run([*command.split(), *args, "-o", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                         if p.is_file() and p.name != "manifest.json")
+        assert manifest["command"] == command
+        assert manifest["outputs"] == written
+
+
+def _byte_edited(data: bytes, edits) -> bytes:
+    """`data` after each (operation, relative position, byte) edit."""
+    data = bytearray(data)
+    for op, where, byte in edits:
+        i = int(where * len(data))
+        if op == "replace" and data:
+            data[i] = byte
+        elif op == "insert":
+            data.insert(i, byte)
+        elif data:
+            del data[i]
+    return bytes(data)
+
+
+def _edits(alphabet: bytes):
+    return st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                  st.floats(0.0, 1.0, exclude_max=True),
+                  st.one_of(st.sampled_from(alphabet), st.integers(0, 255))),
+        min_size=1, max_size=6)
+
+
+FUZZ_CONFIG = json.dumps({
+    "vitals": {"heart_rate_bpm": [[0, 66], [1, 70.5]], "breathing_rate_bpm": 15,
+               "pulse_width_s": 0.08},
+    "noise": {"gaussian_sigma_db": 0.01, "impulse_prob": 0.001, "seed": 4},
+    "link": {"tx": [0, 0], "rx": [0, 1.5], "wavelength_m": 0.69},
+    "body": {"radius_m": 0.15, "scatter_amp": 0.1},
+}, separators=(",", ":")).encode()
+FUZZ_SIDECAR = b"# rfsense-alpha-v1\ndefault,alpha=1.25\nhall-2,alpha=0.75\n"
+
+
+class TestInputFuzz:
+    """A byte-edited config file or alpha sidecar either works, or the CLI
+    exits 1 or 2 with an `error:` line, no traceback and no `-o` directory."""
+
+    def _check(self, argv, out):
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run([*argv, "-o", str(out)])
+        if rc == 0:
+            assert (out / "manifest.json").exists()
+            return
+        assert rc in (1, 2)
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["vitals", "crossing"])
+    @settings(max_examples=300, deadline=None)
+    @given(edits=_edits(b'{}[]",:.-+eE0159 ntfalseruNaIiy'))
+    def test_byte_edited_config(self, kind, tmp_path_session, edits):
+        config = tmp_path_session / f"fuzz_{kind}.json"
+        config.write_bytes(_byte_edited(FUZZ_CONFIG, edits))
+        self._check(["simulate", kind, "--duration", "2", "--config", str(config)],
+                    tmp_path_session / f"fuzz_{kind}_out")
+
+    @pytest.mark.parametrize("action", ["estimate", "calibrate"])
+    @settings(max_examples=40, deadline=None)
+    @given(edits=_edits(b"#\n,=.-+eE0159 adefhilnprstv"))
+    def test_byte_edited_alpha_sidecar(self, action, crossing_files, link_config,
+                                       tmp_path_session, edits):
+        sidecar = tmp_path_session / f"fuzz_alpha_{action}.txt"
+        sidecar.write_bytes(_byte_edited(FUZZ_SIDECAR, edits))
+        self._check(["speed", action, *map(str, crossing_files[:2]),
+                     "--config", str(link_config), "--alpha-file", str(sidecar)],
+                    tmp_path_session / f"fuzz_alpha_{action}_out")
 
 
 class TestTables:

@@ -19,6 +19,7 @@ from rfsense.sim import (
 from rfsense.speed import (
     CrossingEvent,
     SpeedConfig,
+    alphas_with,
     average_frequency,
     calibrate_alpha,
     calibrate_crossing_threshold,
@@ -256,21 +257,21 @@ class TestThresholdCalibration:
 class TestSerialization:
     def test_alpha_round_trip_multi_link(self, tmp_path):
         path = tmp_path / "alpha.txt"
-        save_alpha(path, "hall-1", 0.88)
-        save_alpha(path, "hall-2", 0.72)
-        save_alpha(path, "hall-1", 0.9025)  # overwrite keeps other links
+        for link, alpha in (("hall-1", 0.88), ("hall-2", 0.72),
+                            ("hall-1", 0.9025)):  # overwrite keeps other links
+            save_alpha(path, alphas_with(path, link, alpha))
         assert load_alpha(path, "hall-1") == 0.9025
         assert load_alpha(path, "hall-2") == 0.72
 
     def test_alpha_missing_link(self, tmp_path):
         path = tmp_path / "alpha.txt"
-        save_alpha(path, "hall-1", 0.88)
+        save_alpha(path, {"hall-1": 0.88})
         with pytest.raises(KeyError):
             load_alpha(path, "nope")
 
     def test_alpha_rejects_bad_link_id(self, tmp_path):
         with pytest.raises(ValueError):
-            save_alpha(tmp_path / "alpha.txt", "a,b", 1.0)
+            alphas_with(tmp_path / "alpha.txt", "a,b", 1.0)
 
     def test_alpha_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "alpha.txt"
