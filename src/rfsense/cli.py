@@ -504,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ges.add_argument("--model", default=None,
                      help="model file (classify/eval input)")
     ges.add_argument("--kind", default="random_forest",
-                     choices=("random_forest", "knn", "linear_svm"))
+                     choices=gesture.CLASSIFIER_KINDS)
     ges.set_defaults(func=_cmd_gesture)
 
     spd = sub.add_parser("speed", parents=[common],

@@ -169,7 +169,7 @@ def segment(trace: RssTrace, cfg: SegmentationConfig = SegmentationConfig()
     # runs flanking the burst and it pads the genuine run's boundaries, so
     # (a) drop runs that sit within one mean window of a far stronger one and
     # (b) shrink each survivor to where variance clears a fraction of its peak.
-    if cfg.trim_fraction > 0.0 and kept:
+    if kept:
         peaks = [float(v[s0: s1 - w + 2].max()) for s0, s1 in kept]
         mean_n = max(1, int(round(cfg.mean_window_s * fs)))
         groups: list[list[int]] = [[0]]
@@ -224,20 +224,15 @@ class FeatureVector:
             raise ValueError("feature vector contains non-finite entries")
 
 
-def _dwt_band_lengths(n: int, levels: int = DWT_LEVELS, filt_len: int = 6) -> list[int]:
-    lens = []
-    for _ in range(levels):
-        n = (n + filt_len - 1) // 2
-        lens.append(n)
-    return lens
-
-
-def feature_layout(resample_len: int = SEGMENT_RESAMPLE_LEN) -> tuple[str, ...]:
-    lens = _dwt_band_lengths(resample_len)
+@lru_cache(maxsize=1)
+def feature_layout() -> tuple[str, ...]:
+    """Names of the feature entries, built once: every FeatureVector shares
+    this tuple."""
+    n_coefs = len(wavedec(np.zeros(SEGMENT_RESAMPLE_LEN), db3(), DWT_LEVELS).approx)
     bands = [f"cd{i}" for i in range(1, DWT_LEVELS + 1)] + [f"ca{DWT_LEVELS}"]
     names = [f"{band}_{stat}" for band in bands for stat in _BAND_STATS]
-    names += [f"ca{DWT_LEVELS}_coef_{i}" for i in range(lens[-1])]
-    names += [f"cd{DWT_LEVELS}_coef_{i}" for i in range(lens[-1])]
+    names += [f"ca{DWT_LEVELS}_coef_{i}" for i in range(n_coefs)]
+    names += [f"cd{DWT_LEVELS}_coef_{i}" for i in range(n_coefs)]
     return tuple(names)
 
 
@@ -258,21 +253,20 @@ def _band_stats(coefs: np.ndarray, band_fs: float) -> list[float]:
             peak, avg_f, half_f]
 
 
-def extract_features(seg: GestureSegment, fs: float,
-                     resample_len: int = SEGMENT_RESAMPLE_LEN) -> FeatureVector:
+def extract_features(seg: GestureSegment, fs: float) -> FeatureVector:
     """Fixed-length wavelet feature vector for one segment.
 
-    The segment is linearly resampled to resample_len points spanning its
-    original duration, so band frequencies are computed against the
-    stretched rate resample_len*fs/n before the per-level halving.
+    The segment is linearly resampled to SEGMENT_RESAMPLE_LEN points spanning
+    its original duration, so band frequencies are computed against the
+    stretched rate SEGMENT_RESAMPLE_LEN*fs/n before the per-level halving.
     """
     x = np.asarray(seg.samples, dtype=np.float64)
     if len(x) < 2:
         raise ValueError("segment too short to resample")
     resampled = np.interp(
-        np.linspace(0.0, len(x) - 1.0, resample_len),
+        np.linspace(0.0, len(x) - 1.0, SEGMENT_RESAMPLE_LEN),
         np.arange(len(x)), x)
-    fs_resampled = resample_len * fs / len(x)
+    fs_resampled = SEGMENT_RESAMPLE_LEN * fs / len(x)
     dec = wavedec(resampled, db3(), levels=DWT_LEVELS, mode="symmetric")
     bands = list(dec.details) + [dec.approx]
     rates = [fs_resampled / 2 ** lvl for lvl in range(1, DWT_LEVELS + 1)]
@@ -282,7 +276,7 @@ def extract_features(seg: GestureSegment, fs: float,
         values.extend(_band_stats(coefs, rate))
     values.extend(dec.approx)
     values.extend(dec.details[-1])
-    return FeatureVector(values=np.asarray(values), layout=feature_layout(resample_len))
+    return FeatureVector(values=np.asarray(values), layout=feature_layout())
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fresnel
 
-from .gesture import GESTURE_LABELS
-from .trace import (DEFAULT_SAMPLE_RATE_HZ, GroundTruth, RssTrace, TraceMetadata,
-                    make_trace)
+from .gesture import GESTURE_LABELS, _finite
+from .trace import DEFAULT_SAMPLE_RATE_HZ, GroundTruth, RssTrace, make_trace
 
 DEFAULT_BASELINE_DB = -50.0
 
@@ -89,9 +88,10 @@ class WalkPath:
 
 @dataclass(frozen=True)
 class VitalSignsProfile:
-    """heart_rate_bpm is piecewise linear: ((t0, bpm0), (t1, bpm1), ...);
-    a bare float means constant. Rates outside the resting band are refused
-    because the estimator's search band would clip them silently."""
+    """heart_rate_bpm is piecewise linear: ((t0, bpm0), (t1, bpm1), ...) of
+    finite numbers; a bare number means constant. Rates outside the resting
+    band are refused because the estimator's search band would clip them
+    silently."""
 
     heart_rate_bpm: object = 66.0
     breathing_rate_bpm: float = 15.0
@@ -110,9 +110,15 @@ class VitalSignsProfile:
             raise ValueError("profile amplitudes must be >= 0, widths positive")
 
     def heart_rate_points(self) -> list:
-        if isinstance(self.heart_rate_bpm, (int, float)):
-            return [(0.0, float(self.heart_rate_bpm))]
-        return [(float(t), float(b)) for t, b in self.heart_rate_bpm]
+        hr = self.heart_rate_bpm
+        if _finite(hr):
+            return [(0.0, float(hr))]
+        if not (isinstance(hr, (list, tuple)) and hr and all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_finite, p))
+                for p in hr)):
+            raise ValueError("heart_rate_bpm must be a finite number or a non-empty "
+                             "list of [t_s, bpm] pairs of finite numbers")
+        return [(float(t), float(b)) for t, b in hr]
 
 
 @dataclass(frozen=True)
@@ -154,16 +160,19 @@ def knife_edge_gain(nu) -> np.ndarray:
 
 
 def simulate_vitals(profile: VitalSignsProfile, noise: NoiseModel, duration_s: float,
-                    fs: float = DEFAULT_SAMPLE_RATE_HZ,
-                    baseline_db: float = DEFAULT_BASELINE_DB) -> RssTrace:
+                    fs: float = DEFAULT_SAMPLE_RATE_HZ) -> RssTrace:
     if duration_s <= 0:
         raise ValueError("duration must be positive")
+    # a narrower pulse falls between samples: the trace would carry no beat
+    if profile.pulse_width_s < 1.0 / fs:
+        raise ValueError(f"pulse_width_s {profile.pulse_width_s!r} is below one "
+                         f"sample period (1/{fs!r} s)")
     n = int(round(duration_s * fs))
     t = np.arange(n) / fs
     pts = profile.heart_rate_points()
     hr = np.interp(t, [p[0] for p in pts], [p[1] for p in pts])
 
-    rss = np.full(n, baseline_db)
+    rss = np.full(n, DEFAULT_BASELINE_DB)
     rss += profile.breathing_amplitude_db * np.sin(
         2.0 * np.pi * (profile.breathing_rate_bpm / 60.0) * t)
 
@@ -208,8 +217,7 @@ def _crossing_channel(geom: LinkGeometry, path: WalkPath, body: BodyModel,
 
 def simulate_crossing(geom: LinkGeometry, path: WalkPath, noise: NoiseModel,
                       fs: float = DEFAULT_SAMPLE_RATE_HZ,
-                      body: BodyModel = BodyModel(),
-                      baseline_db: float = DEFAULT_BASELINE_DB) -> RssTrace:
+                      body: BodyModel = BodyModel()) -> RssTrace:
     d = geom.d
     if not 0.0 < path.crossing_m < d:
         raise ValueError("crossing point must lie strictly inside the link")
@@ -219,7 +227,7 @@ def simulate_crossing(geom: LinkGeometry, path: WalkPath, noise: NoiseModel,
     n = int(round(path.duration_s * fs))
     t = np.arange(n) / fs
     h = _crossing_channel(geom, path, body, t)
-    rss = 20.0 * np.log10(np.maximum(np.abs(h), 1e-9)) + baseline_db
+    rss = 20.0 * np.log10(np.maximum(np.abs(h), 1e-9)) + DEFAULT_BASELINE_DB
     rng = np.random.default_rng(noise.seed)
     rss += noise.sample(rng, n)
     return make_trace(
@@ -309,8 +317,7 @@ def _gesture_waveform(tpl: GestureTemplate, rng: np.random.Generator,
 
 def simulate_gesture(template: GestureTemplate, noise: NoiseModel,
                      pre_pad_s: float = 13.0, post_pad_s: float = 2.5,
-                     fs: float = DEFAULT_SAMPLE_RATE_HZ, seed: int = 0,
-                     baseline_db: float = DEFAULT_BASELINE_DB) -> RssTrace:
+                     fs: float = DEFAULT_SAMPLE_RATE_HZ, seed: int = 0) -> RssTrace:
     """One gesture instance flanked by quiescence.
 
     The default pre-pad leaves room for the segmenter's variance history
@@ -321,7 +328,8 @@ def simulate_gesture(template: GestureTemplate, noise: NoiseModel,
     rng = np.random.default_rng([seed, noise.seed])
     wave = _gesture_waveform(template, rng, fs)
     n_pre = int(round(pre_pad_s * fs))
-    rss = np.full(n_pre + len(wave) + int(round(post_pad_s * fs)), baseline_db)
+    rss = np.full(n_pre + len(wave) + int(round(post_pad_s * fs)),
+                  DEFAULT_BASELINE_DB)
     rss[n_pre: n_pre + len(wave)] += wave
     rss += noise.sample(rng, len(rss))
     gt = GroundTruth(label=template.label, start_s=n_pre / fs,
@@ -350,13 +358,10 @@ VITALS_HR_PROFILES = (
 
 
 def _with_id(trace: RssTrace, trace_id: str) -> RssTrace:
-    extras = dict(trace.metadata.extras)
-    extras["trace_id"] = trace_id
-    meta = TraceMetadata(sample_rate_hz=trace.metadata.sample_rate_hz,
-                         center_freq_hz=trace.metadata.center_freq_hz,
-                         extras=extras)
-    return RssTrace(metadata=meta, timestamps=trace.timestamps,
-                    rss_db=trace.rss_db, ground_truth=trace.ground_truth)
+    """`trace` with `trace_id` set in its extras, which every simulator
+    builds afresh for its trace."""
+    trace.metadata.extras["trace_id"] = trace_id
+    return trace
 
 
 def make_corpora(seed: int, fs: float = DEFAULT_SAMPLE_RATE_HZ) -> dict:

@@ -34,8 +34,8 @@ class SpeedConfig:
     nfft: int = 4096                   # zero-padded bins sharpen the f_av centroid
     # A single 3 dB impulse adds ~0.015 dB^2 of broadband power to a 2 s
     # window, enough to drag the centroid of a crossing dip by up to 1 Hz,
-    # so outlier removal runs before the spectrogram. None disables it.
-    hampel: HampelConfig | None = field(default_factory=HampelConfig)
+    # so outlier removal runs before the spectrogram.
+    hampel: HampelConfig = field(default_factory=HampelConfig)
 
     def __post_init__(self):
         if self.window_s <= 0 or self.hop_s <= 0:
@@ -73,9 +73,7 @@ def average_frequency(spec) -> tuple[np.ndarray, np.ndarray]:
 def _smoothed_f_av(trace: RssTrace, cfg: SpeedConfig
                    ) -> tuple[np.ndarray, np.ndarray]:
     fs = trace.metadata.sample_rate_hz
-    rss = trace.rss_db
-    if cfg.hampel is not None:
-        rss = hampel_filter(rss, cfg.hampel)
+    rss = hampel_filter(trace.rss_db, cfg.hampel)
     spec = spectrogram(rss, fs, window_s=cfg.window_s,
                        hop_s=cfg.hop_s, nfft=cfg.nfft)
     times, f_av = average_frequency(spec)
@@ -98,12 +96,11 @@ def detect_crossing(times: np.ndarray, f_av: np.ndarray, cfg: SpeedConfig
     return t0, t0 + cfg.search_interval_s
 
 
-def estimate_speed(trace: RssTrace, cfg: SpeedConfig,
-                   t_start: float = 0.0) -> CrossingEvent | None:
-    """Locate the first crossing at or after t_start and scale its minimum
-    average frequency to a speed. Requires a calibrated alpha."""
-    if cfg.alpha_m is None:
-        raise ValueError("alpha_m is not calibrated; run calibrate_alpha first")
+def crossing_frequency(trace: RssTrace, cfg: SpeedConfig,
+                       t_start: float = 0.0) -> CrossingEvent | None:
+    """First crossing at or after t_start and its minimum average frequency,
+    with v_hat left at 0: calibration collects f_min_av before any alpha
+    exists. cfg.alpha_m is not read."""
     times, f_av = _smoothed_f_av(trace, cfg)
     live = times >= t_start
     if not np.any(live):
@@ -114,12 +111,20 @@ def estimate_speed(trace: RssTrace, cfg: SpeedConfig,
         return None
     m = (times >= interval[0]) & (times <= interval[1])
     j = int(np.argmin(f_av[m]))
-    f_min = float(f_av[m][j])
-    return CrossingEvent(
-        t_cross_s=float(times[m][j]),
-        f_min_av_hz=f_min,
-        v_hat_mps=cfg.alpha_m * f_min,
-    )
+    return CrossingEvent(t_cross_s=float(times[m][j]),
+                         f_min_av_hz=float(f_av[m][j]), v_hat_mps=0.0)
+
+
+def estimate_speed(trace: RssTrace, cfg: SpeedConfig,
+                   t_start: float = 0.0) -> CrossingEvent | None:
+    """The crossing_frequency event, its minimum average frequency scaled to
+    a speed. Requires a calibrated alpha."""
+    if cfg.alpha_m is None:
+        raise ValueError("alpha_m is not calibrated; run calibrate_alpha first")
+    event = crossing_frequency(trace, cfg, t_start)
+    if event is None:
+        return None
+    return replace(event, v_hat_mps=cfg.alpha_m * event.f_min_av_hz)
 
 
 def calibrate_crossing_threshold(quiet_trace: RssTrace, cfg: SpeedConfig) -> float:
@@ -136,16 +141,6 @@ def calibrate_crossing_threshold(quiet_trace: RssTrace, cfg: SpeedConfig) -> flo
     if thr <= 0:
         raise ValueError("quiescent reference has zero median f_av")
     return thr
-
-
-def crossing_frequency(trace: RssTrace, cfg: SpeedConfig,
-                       t_start: float = 0.0) -> CrossingEvent | None:
-    """Calibration-side helper: crossing event with v_hat left at 0 so the
-    f_min_av can be collected before any alpha exists."""
-    ev = estimate_speed(trace, replace(cfg, alpha_m=1.0), t_start)
-    if ev is None:
-        return None
-    return CrossingEvent(ev.t_cross_s, ev.f_min_av_hz, 0.0)
 
 
 def calibrate_alpha(points: list[tuple[float, float]]) -> tuple[float, float]:

@@ -1,8 +1,10 @@
 """Discrete wavelet transform built on the Daubechies-3 filter bank.
 
-Analysis convolves a boundary-extended signal with the decomposition filters
-and keeps the odd-indexed outputs; synthesis upsamples, convolves with the
-reconstruction filters and crops the transform delay. Two boundary modes:
+db3() returns one shared, read-only bank, built and checked once at import.
+Analysis convolves a boundary-extended signal with the decomposition
+filters and keeps the odd-indexed outputs; synthesis upsamples, convolves
+with the reconstruction filters and crops the transform delay. Two
+boundary modes:
 
   symmetric  edge samples mirrored (edge repeated); works for any length,
              coefficient arrays are floor((n + L - 1) / 2) long
@@ -26,78 +28,60 @@ MODES = ("symmetric", "periodic")
 
 @dataclass(frozen=True)
 class WaveletFilterBank:
-    """Orthogonal two-channel filter bank, validated on construction.
+    """Orthogonal two-channel filter bank built from its scaling filter.
 
-    rec_lo is the scaling filter; the other three are derived views of it
-    (time reversal for the analysis pair, alternating signs for the highpass
-    pair). Construction checks unit norm, sum rules, the even-shift
-    orthogonality relations and the reversal structure, so a bank that
-    constructs is guaranteed to reconstruct.
+    rec_lo is the scaling filter; the other three are derived from it by the
+    quadrature-mirror construction (time reversal for the analysis pair,
+    alternating signs for the highpass pair). Construction checks the
+    scaling filter alone: even length, taps summing to sqrt(2), unit norm
+    and orthogonality to its even shifts. The highpass and cross-orthogonality
+    identities follow from the derivation, so a bank that constructs is
+    guaranteed to reconstruct. All four filters are read-only.
     """
 
     name: str
     rec_lo: np.ndarray
-    rec_hi: np.ndarray
-    dec_lo: np.ndarray
-    dec_hi: np.ndarray
+    rec_hi: np.ndarray = field(init=False)
+    dec_lo: np.ndarray = field(init=False)
+    dec_hi: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for attr in ("rec_lo", "rec_hi", "dec_lo", "dec_hi"):
-            arr = np.asarray(getattr(self, attr), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, attr, arr)
-        L = len(self.rec_lo)
+        rec_lo = np.array(self.rec_lo, dtype=np.float64)
+        L = len(rec_lo)
         if L < 2 or L % 2 != 0:
             raise ValueError("filter length must be even and >= 2")
-        if any(len(getattr(self, a)) != L for a in ("rec_hi", "dec_lo", "dec_hi")):
-            raise ValueError("all four filters must have equal length")
-        if not np.allclose(self.dec_lo, self.rec_lo[::-1], rtol=0, atol=_TOL):
-            raise ValueError("dec_lo must be the reversal of rec_lo")
-        if not np.allclose(self.dec_hi, self.rec_hi[::-1], rtol=0, atol=_TOL):
-            raise ValueError("dec_hi must be the reversal of rec_hi")
-        if abs(self.rec_lo.sum() - np.sqrt(2.0)) > _TOL:
+        if abs(rec_lo.sum() - np.sqrt(2.0)) > _TOL:
             raise ValueError("lowpass taps must sum to sqrt(2)")
-        if abs(self.rec_hi.sum()) > _TOL:
-            raise ValueError("highpass taps must sum to 0")
-        for f in (self.rec_lo, self.rec_hi):
-            if abs(f @ f - 1.0) > _TOL:
-                raise ValueError("filters must have unit L2 norm")
-            for k in range(1, L // 2):
-                if abs(f[: L - 2 * k] @ f[2 * k:]) > _TOL:
-                    raise ValueError("filter not orthogonal to its even shifts")
-        for k in range(-(L // 2) + 1, L // 2):
-            s = 2 * k
-            lo = self.rec_lo[max(0, -s): L - max(0, s)]
-            hi = self.rec_hi[max(0, s): L + min(0, s)]
-            if abs(lo @ hi) > _TOL:
-                raise ValueError("lowpass/highpass cross-orthogonality violated")
+        if abs(rec_lo @ rec_lo - 1.0) > _TOL:
+            raise ValueError("lowpass taps must have unit L2 norm")
+        for k in range(1, L // 2):
+            if abs(rec_lo[: L - 2 * k] @ rec_lo[2 * k:]) > _TOL:
+                raise ValueError("filter not orthogonal to its even shifts")
+        dec_hi = rec_lo * np.where(np.arange(L) % 2 == 0, 1.0, -1.0)
+        for attr, arr in (("rec_lo", rec_lo), ("rec_hi", dec_hi[::-1]),
+                          ("dec_lo", rec_lo[::-1]), ("dec_hi", dec_hi)):
+            arr.setflags(write=False)
+            object.__setattr__(self, attr, arr)
 
     @property
     def length(self) -> int:
         return len(self.rec_lo)
 
 
-def _derive_bank(name: str, rec_lo) -> WaveletFilterBank:
-    rec_lo = np.asarray(rec_lo, dtype=np.float64)
-    dec_lo = rec_lo[::-1]
-    dec_hi = rec_lo * np.where(np.arange(len(rec_lo)) % 2 == 0, 1.0, -1.0)
-    rec_hi = dec_hi[::-1]
-    return WaveletFilterBank(name, rec_lo, rec_hi, dec_lo, dec_hi)
-
-
 # Daubechies-3 scaling taps: 6 coefficients, 3 vanishing moments.
-_DB3_REC_LO = (
+_DB3 = WaveletFilterBank("db3", (
     0.3326705529509569,
     0.8068915093133388,
     0.4598775021193313,
     -0.13501102001039084,
     -0.08544127388224149,
     0.035226291882100656,
-)
+))
 
 
 def db3() -> WaveletFilterBank:
-    return _derive_bank("db3", _DB3_REC_LO)
+    """The Daubechies-3 bank: one shared, read-only instance."""
+    return _DB3
 
 
 def _check_mode(mode: str) -> None:

@@ -169,6 +169,7 @@ class TestConfigValues:
         ("speed", "crossing_threshold_hz", float("nan")),
         ("speed", "window_s", True),
         ("speed", "hampel", 3),
+        ("speed", "hampel", None),
     ])
     def test_wrong_value_type_exits_2_naming_the_field(
             self, section, key, value, vitals_dir, calibrated, crossing_files,
@@ -266,7 +267,7 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("section, fields", [
         ("heart", {"window_s": 20, "psd_threshold": None}),
-        ("speed", {"hampel": None, "crossing_threshold_hz": None, "nfft": 2048}),
+        ("speed", {"crossing_threshold_hz": None, "nfft": 2048}),
     ])
     def test_ints_for_floats_and_null_where_allowed(
             self, section, fields, vitals_dir, calibrated, crossing_files, tmp_path):
@@ -309,6 +310,32 @@ class TestSimulate:
     def test_unknown_gesture_label_rejected(self, tmp_path):
         rc = run(["simulate", "gesture", "--label", "wave", "-o", str(tmp_path / "out")])
         assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("hr", [
+        [], [[0, "70"]], [[0, 60, 1]], [70], [[True, 70]], [[0, 60], [1, float("inf")]],
+        [[0, 60], [float("nan"), 70]], [[0, 10 ** 400]],
+    ])
+    def test_bad_heart_rate_profile_exits_2(self, hr, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vitals": {"heart_rate_bpm": hr}}))
+        rc = run(["simulate", "vitals", "--duration", "2", "--config", str(cfg),
+                  "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad vitals config: heart_rate_bpm must be")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_pulse_narrower_than_a_sample_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vitals": {"pulse_width_s": 1e-200}}))
+        rc = run(["simulate", "vitals", "--duration", "2", "--config", str(cfg),
+                  "-o", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pulse_width_s 1e-200 is below one sample period")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_bad_geometry_fails_nonzero(self, tmp_path):

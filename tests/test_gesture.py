@@ -136,6 +136,11 @@ class TestFeatures:
         assert layout[0] == "cd1_mean"
         assert layout[27] == "ca3_half_point_freq"
 
+    def test_every_vector_shares_one_layout(self):
+        a = extract_features(self.seg_from(np.full(500, 2.0)), FS)
+        b = extract_features(self.seg_from(np.arange(300.0)), FS)
+        assert a.layout is feature_layout() and b.layout is feature_layout()
+
     def test_constant_segment(self):
         fv = extract_features(self.seg_from(np.full(500, 2.0)), FS)
         names = dict(zip(fv.layout, fv.values))

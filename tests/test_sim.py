@@ -105,6 +105,8 @@ class TestVitals:
             VitalSignsProfile(heart_rate_bpm=((0.0, 60.0), (0.0, 70.0)))
         with pytest.raises(ValueError):
             VitalSignsProfile(pulse_width_s=0.0)
+        with pytest.raises(ValueError, match="pulse_width_s"):
+            simulate_vitals(VitalSignsProfile(pulse_width_s=1e-3), QUIET, 1.0)
         with pytest.raises(ValueError):
             simulate_vitals(VitalSignsProfile(), QUIET, duration_s=0.0)
 

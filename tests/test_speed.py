@@ -221,6 +221,17 @@ class TestCrossingFrequency:
         assert ev.v_hat_mps == 0.0
         assert ev.f_min_av_hz > 0
 
+    @pytest.mark.parametrize("alpha, t_start", [(0.37, 0.0), (2.5, 3.0), (1.0, 1e4)])
+    def test_estimate_is_scaled_crossing_frequency(self, crossing_trace, tuned_cfg,
+                                                   alpha, t_start):
+        from dataclasses import replace
+        ev = crossing_frequency(crossing_trace, tuned_cfg, t_start)
+        got = estimate_speed(crossing_trace, replace(tuned_cfg, alpha_m=alpha), t_start)
+        if ev is None:
+            assert got is None
+        else:
+            assert got == replace(ev, v_hat_mps=alpha * ev.f_min_av_hz)
+
 
 class TestCalibrateAlpha:
     def test_exact_proportional_fit(self):

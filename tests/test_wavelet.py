@@ -59,18 +59,20 @@ class TestFilterBank:
         bad_lo = bank.rec_lo.copy()
         bad_lo[2] += 1e-6
         with pytest.raises(ValueError):
-            WaveletFilterBank("bad", bad_lo, bank.rec_hi, bad_lo[::-1], bank.dec_hi)
+            WaveletFilterBank("bad", bad_lo)
         with pytest.raises(ValueError):
-            WaveletFilterBank("bad", bank.rec_lo, bank.rec_hi,
-                              bank.dec_lo[::-1], bank.dec_hi)  # wrong reversal
+            WaveletFilterBank("bad", bank.rec_lo[:4])
         with pytest.raises(ValueError):
-            WaveletFilterBank("bad", bank.rec_lo[:4], bank.rec_hi[:4],
-                              bank.dec_lo[:4], bank.dec_hi[:4])
+            WaveletFilterBank("bad", bank.rec_lo[:5])
 
     def test_taps_are_read_only(self):
         bank = db3()
-        with pytest.raises(ValueError):
-            bank.rec_lo[0] = 0.0
+        for attr in ("rec_lo", "rec_hi", "dec_lo", "dec_hi"):
+            with pytest.raises(ValueError):
+                getattr(bank, attr)[0] = 0.0
+
+    def test_db3_is_one_shared_bank(self):
+        assert db3() is db3()
 
 
 class TestSingleLevel:
