@@ -22,6 +22,7 @@ import csv
 import json
 import sys
 import typing
+from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -55,6 +56,15 @@ from .trace import load_trace, save_trace
 
 class UsageError(Exception):
     """Bad flags or config; reported as exit status 2."""
+
+
+@contextmanager
+def _naming(path):
+    """Prefix `path` to a ValueError raised while processing its trace."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +263,8 @@ def _cmd_heartrate(args, config: dict) -> int:
         cfg = replace(cfg, sample_rate_hz=trace.metadata.sample_rate_hz)
     except ValueError as e:
         raise UsageError(f"bad heart config for {args.trace}: {e}")
-    estimates = heart.stream_heart_rate(trace, cfg)
+    with _naming(args.trace):
+        estimates = heart.stream_heart_rate(trace, cfg)
 
     usable = [e for e in estimates if e.status == heart.STATUS_ESTIMATE]
     summary = [
@@ -297,13 +308,16 @@ def _read_gesture_manifest(corpus_dir: Path) -> list[tuple[Path, str]]:
     return entries
 
 
-def _dominant_feature(trace, seg_cfg: SegmentationConfig):
-    """Features of the longest detected segment, or None when silent."""
-    segments = gesture.segment(trace, seg_cfg)
-    if not segments:
-        return None
-    best = max(segments, key=lambda s: s.duration_s)
-    return gesture.extract_features(best, trace.metadata.sample_rate_hz)
+def _dominant_feature(path, seg_cfg: SegmentationConfig):
+    """Features of the longest segment detected in the trace at `path`, or
+    None when silent."""
+    trace = load_trace(path)
+    with _naming(path):
+        segments = gesture.segment(trace, seg_cfg)
+        if not segments:
+            return None
+        best = max(segments, key=lambda s: s.duration_s)
+        return gesture.extract_features(best, trace.metadata.sample_rate_hz)
 
 
 def _cmd_gesture(args, config: dict) -> int:
@@ -315,7 +329,7 @@ def _cmd_gesture(args, config: dict) -> int:
         entries = _read_gesture_manifest(Path(args.corpus))
         data, skipped = [], 0
         for path, label in entries:
-            fv = _dominant_feature(load_trace(path), seg_cfg)
+            fv = _dominant_feature(path, seg_cfg)
             if fv is None:
                 skipped += 1
                 continue
@@ -331,7 +345,7 @@ def _cmd_gesture(args, config: dict) -> int:
     model = gesture.load_model(args.model)
 
     if args.action == "classify":
-        fv = _dominant_feature(load_trace(args.trace), seg_cfg)
+        fv = _dominant_feature(args.trace, seg_cfg)
         if fv is None:
             print("no gesture detected")
             label = None
@@ -347,7 +361,7 @@ def _cmd_gesture(args, config: dict) -> int:
     entries = _read_gesture_manifest(Path(args.corpus))
     rows, data = [], []
     for path, label in entries:
-        fv = _dominant_feature(load_trace(path), seg_cfg)
+        fv = _dominant_feature(path, seg_cfg)
         if fv is None:
             rows.append([path.name, label, "(none)"])
             continue
@@ -391,7 +405,8 @@ def _cmd_speed(args, config: dict) -> int:
             if truth is None:
                 skipped += 1
                 continue
-            event = speed.crossing_frequency(trace, cfg)
+            with _naming(path):
+                event = speed.crossing_frequency(trace, cfg)
             if event is None:
                 skipped += 1
                 continue
@@ -431,7 +446,8 @@ def _cmd_speed(args, config: dict) -> int:
     rows, errors = [], []
     for path in files:
         trace = load_trace(path)
-        event = speed.estimate_speed(trace, cfg)
+        with _naming(path):
+            event = speed.estimate_speed(trace, cfg)
         truth = trace.ground_truth.speed_mps
         if event is None:
             rows.append([path.name, "no_crossing", None, None, None, truth])

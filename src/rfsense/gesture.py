@@ -267,7 +267,7 @@ def extract_features(seg: GestureSegment, fs: float) -> FeatureVector:
         np.linspace(0.0, len(x) - 1.0, SEGMENT_RESAMPLE_LEN),
         np.arange(len(x)), x)
     fs_resampled = SEGMENT_RESAMPLE_LEN * fs / len(x)
-    dec = wavedec(resampled, db3(), levels=DWT_LEVELS, mode="symmetric")
+    dec = wavedec(resampled, db3(), DWT_LEVELS)
     bands = list(dec.details) + [dec.approx]
     rates = [fs_resampled / 2 ** lvl for lvl in range(1, DWT_LEVELS + 1)]
     rates.append(rates[-1])
@@ -308,6 +308,14 @@ def _standardize(X: np.ndarray):
     return mean, scale
 
 
+def _label_indices(data) -> np.ndarray:
+    """Index in GESTURE_LABELS of each (FeatureVector, label) pair's label."""
+    for _, label in data:
+        if label not in GESTURE_LABELS:
+            raise ValueError(f"unknown label {label!r}")
+    return np.array([GESTURE_LABELS.index(label) for _, label in data], dtype=np.int64)
+
+
 def train(data, kind: str, seed: int = 0, **hyper) -> TrainedModel:
     """Fit a classifier on (FeatureVector, label) pairs; deterministic per seed."""
     if kind not in CLASSIFIER_KINDS:
@@ -315,12 +323,10 @@ def train(data, kind: str, seed: int = 0, **hyper) -> TrainedModel:
     if not data:
         raise ValueError("empty training set")
     layout = data[0][0].layout
-    for fv, label in data:
+    for fv, _ in data:
         if fv.layout != layout:
             raise ValueError("feature layout mismatch in training data")
-        if label not in GESTURE_LABELS:
-            raise ValueError(f"unknown label {label!r}")
-    y = np.array([GESTURE_LABELS.index(label) for _, label in data], dtype=np.int64)
+    y = _label_indices(data)
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain at least two classes")
     X = np.stack([fv.values for fv, _ in data])
@@ -379,7 +385,7 @@ def evaluate(model: TrainedModel, data) -> EvaluationResult:
     for fv, _ in data:
         _check_layout(model, fv)
     X = np.stack([fv.values for fv, _ in data])
-    actual = np.array([GESTURE_LABELS.index(label) for _, label in data])
+    actual = _label_indices(data)
     pred = _predict_matrix(model, X)
     c = len(GESTURE_LABELS)
     counts = np.zeros((c, c))

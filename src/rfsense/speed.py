@@ -96,16 +96,11 @@ def detect_crossing(times: np.ndarray, f_av: np.ndarray, cfg: SpeedConfig
     return t0, t0 + cfg.search_interval_s
 
 
-def crossing_frequency(trace: RssTrace, cfg: SpeedConfig,
-                       t_start: float = 0.0) -> CrossingEvent | None:
-    """First crossing at or after t_start and its minimum average frequency,
-    with v_hat left at 0: calibration collects f_min_av before any alpha
-    exists. cfg.alpha_m is not read."""
+def crossing_frequency(trace: RssTrace, cfg: SpeedConfig) -> CrossingEvent | None:
+    """First crossing and its minimum average frequency, with v_hat left at
+    0: calibration collects f_min_av before any alpha exists. cfg.alpha_m is
+    not read."""
     times, f_av = _smoothed_f_av(trace, cfg)
-    live = times >= t_start
-    if not np.any(live):
-        return None
-    times, f_av = times[live], f_av[live]
     interval = detect_crossing(times, f_av, cfg)
     if interval is None:
         return None
@@ -115,13 +110,12 @@ def crossing_frequency(trace: RssTrace, cfg: SpeedConfig,
                          f_min_av_hz=float(f_av[m][j]), v_hat_mps=0.0)
 
 
-def estimate_speed(trace: RssTrace, cfg: SpeedConfig,
-                   t_start: float = 0.0) -> CrossingEvent | None:
+def estimate_speed(trace: RssTrace, cfg: SpeedConfig) -> CrossingEvent | None:
     """The crossing_frequency event, its minimum average frequency scaled to
     a speed. Requires a calibrated alpha."""
     if cfg.alpha_m is None:
         raise ValueError("alpha_m is not calibrated; run calibrate_alpha first")
-    event = crossing_frequency(trace, cfg, t_start)
+    event = crossing_frequency(trace, cfg)
     if event is None:
         return None
     return replace(event, v_hat_mps=cfg.alpha_m * event.f_min_av_hz)

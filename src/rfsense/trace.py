@@ -37,8 +37,8 @@ row is line 3):
   value read is the first row's, so an edited later row would otherwise be
   ignored without a word.
 
-A missing or malformed metadata line, unexpected column names, a
-non-positive rate and a NaN or infinite RSS sample are named by path alone.
+Non-UTF-8 bytes, a missing or malformed metadata line or value, unexpected
+columns and a NaN or infinite RSS sample are named by path alone.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def save_trace(trace: RssTrace, path: str | os.PathLike) -> None:
     cols = [_time_text(series[0], meta.sample_rate_hz)]
     cols += [map(repr, c.tolist()) for c in series[1:]]
     body = row_end.join(map(",".join, zip(*cols))) + row_end if len(trace) else ""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("# " + ",".join(f"{k}={v}" for k, v in pairs) + "\n"
                 + ",".join(names) + "\n" + body)
 
@@ -351,10 +351,13 @@ def _check_uniform(t: np.ndarray, sample_rate: float, lines: list[str], path) ->
 
 def load_trace(path: str | os.PathLike) -> RssTrace:
     """Read a trace written by save_trace."""
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        colnames = f.readline().rstrip("\n").split(",")
-        lines = f.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().rstrip("\n")
+            colnames = f.readline().rstrip("\n").split(",")
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e}") from None
     if not header.startswith("# "):
         raise ValueError(f"{path}: missing '# key=value' metadata line")
     meta_pairs = {}
@@ -368,6 +371,8 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
         center_freq = float(meta_pairs.pop("center_freq_hz"))
     except KeyError as e:
         raise ValueError(f"{path}: metadata line lacks {e}") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: bad metadata number: {e}") from None
     label = meta_pairs.pop("gt_label", None)
 
     if colnames[:2] != ["t_s", "rss_db"]:

@@ -381,6 +381,15 @@ class TestHeartrate:
         rc = run(["heartrate", str(tmp_path / "ghost.csv"), "-o", str(tmp_path)])
         assert rc == 1
 
+    def test_trace_shorter_than_the_hampel_window_exits_1_naming_it(self, tmp_path,
+                                                                    capsys):
+        short = tmp_path / "short.csv"
+        save_trace(make_trace(np.zeros(134)), short)   # 0.3 s at 449 Hz
+        assert run(["heartrate", str(short), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {short}: series of 134 samples")
+        assert not (tmp_path / "out").exists()
+
     def test_uses_the_trace_sample_rate(self, tmp_path):
         trace = simulate_vitals(VitalSignsProfile(heart_rate_bpm=66.0),
                                 NoiseModel(seed=3), 120.0, fs=300.0)
@@ -618,6 +627,25 @@ class TestGesture:
         assert "Traceback" not in err
         assert not (tmp_path / "cls").exists()
 
+    def test_trace_shorter_than_the_history_window_exits_1_naming_it(
+            self, gesture_corpus, trained_model, tmp_path, capsys):
+        train, _, seg_cfg = gesture_corpus
+        corpus = tmp_path / "corpus"
+        shutil.copytree(train, corpus)
+        save_trace(make_trace(np.zeros(300)), corpus / "short.csv")
+        with open(corpus / "manifest.csv", "a") as fh:
+            fh.write("short.csv,punch,,\n")
+        short = corpus / "short.csv"
+        for args in (["train", str(corpus)],
+                     ["eval", str(corpus), "--model", str(trained_model)],
+                     ["classify", "--trace", str(short), "--model", str(trained_model)]):
+            rc = run(["gesture", *args, "--config", str(seg_cfg),
+                      "-o", str(tmp_path / "out")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {short}: trace of 300 samples"), args
+            assert not (tmp_path / "out").exists()
+
     def test_failed_train_and_eval_leave_no_output_dir(self, gesture_corpus, tmp_path):
         train, test, seg_cfg = gesture_corpus
         empty = tmp_path / "empty"
@@ -771,6 +799,22 @@ class TestSpeed:
         assert err.startswith(f"error: {bad}:2: malformed sidecar line 'foo'")
         assert not (tmp_path / "e6").exists()
         assert bad.read_text() == "# rfsense-alpha-v1\nfoo\n"
+
+    def test_trace_shorter_than_a_window_exits_1_naming_it(
+            self, calibrated, crossing_files, link_config, tmp_path, capsys):
+        out = tmp_path / "short"
+        assert run(["simulate", "crossing", "--duration", "1",
+                    "--config", str(link_config), "-o", str(out)]) == 0
+        short = out / "crossing.csv"
+        for args in (["calibrate", *map(str, crossing_files), str(short)],
+                     ["estimate", str(crossing_files[0]), str(short),
+                      "--alpha-file", str(calibrated / "alpha.txt")]):
+            rc = run(["speed", *args, "--config", str(link_config),
+                      "-o", str(tmp_path / "out")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {short}: series shorter than one window\n", args
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("action", ["estimate", "calibrate"])
     def test_non_utf8_sidecar_exits_1_naming_the_file(

@@ -272,8 +272,10 @@ class TestClassifiers:
             train(data, "perceptron")
         layout = data[0][0].layout
         data_bad = data + [(FeatureVector(values=np.zeros(2), layout=layout), "wave")]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown label 'wave'"):
             train(data_bad, "knn")
+        with pytest.raises(ValueError, match="unknown label 'wave'"):
+            evaluate(train(data, "knn"), data_bad)
 
 
 def oracle_knn_predict(model, X):

@@ -181,22 +181,6 @@ class TestEstimateSpeed:
     def test_quiet_trace_yields_none(self, quiet_trace, tuned_cfg):
         assert estimate_speed(quiet_trace, tuned_cfg) is None
 
-    def test_second_crossing_via_t_start(self, tuned_cfg):
-        # two walkers stitched into one recording; crossings at 10 s and 26 s
-        a = simulate_crossing(CROSSING_LINK, WalkPath(1.0, 90.0, 1.0, -10.0, 20.0),
-                              NoiseModel(seed=21))
-        b = simulate_crossing(CROSSING_LINK, WalkPath(1.0, 90.0, 0.6, -3.6, 14.0),
-                              NoiseModel(seed=22))
-        both = make_trace(np.concatenate([a.rss_db, b.rss_db]), FS)
-        first = estimate_speed(both, tuned_cfg)
-        assert abs(first.t_cross_s - 10.0) < 1.0
-        second = estimate_speed(both, tuned_cfg, t_start=first.t_cross_s + 6.0)
-        assert abs(second.t_cross_s - 26.0) < 1.0
-        assert second.f_min_av_hz < first.f_min_av_hz  # slower walker
-
-    def test_t_start_past_everything(self, crossing_trace, tuned_cfg):
-        assert estimate_speed(crossing_trace, tuned_cfg, t_start=1e4) is None
-
     def test_calibrated_one_mps(self, quiet_trace, tuned_cfg):
         # calibrate alpha over a small speed grid, hold out a fresh 1.0 m/s run
         pts = []
@@ -221,16 +205,17 @@ class TestCrossingFrequency:
         assert ev.v_hat_mps == 0.0
         assert ev.f_min_av_hz > 0
 
-    @pytest.mark.parametrize("alpha, t_start", [(0.37, 0.0), (2.5, 3.0), (1.0, 1e4)])
-    def test_estimate_is_scaled_crossing_frequency(self, crossing_trace, tuned_cfg,
-                                                   alpha, t_start):
+    @pytest.mark.parametrize("alpha", [0.37, 2.5, 1.0])
+    def test_estimate_is_scaled_crossing_frequency(self, crossing_trace, quiet_trace,
+                                                   tuned_cfg, alpha):
         from dataclasses import replace
-        ev = crossing_frequency(crossing_trace, tuned_cfg, t_start)
-        got = estimate_speed(crossing_trace, replace(tuned_cfg, alpha_m=alpha), t_start)
-        if ev is None:
-            assert got is None
-        else:
-            assert got == replace(ev, v_hat_mps=alpha * ev.f_min_av_hz)
+        cfg = replace(tuned_cfg, alpha_m=alpha)
+        ev = crossing_frequency(crossing_trace, tuned_cfg)
+        assert estimate_speed(crossing_trace, cfg) == replace(
+            ev, v_hat_mps=alpha * ev.f_min_av_hz)
+        # no crossing: both return None
+        assert crossing_frequency(quiet_trace, tuned_cfg) is None
+        assert estimate_speed(quiet_trace, cfg) is None
 
 
 class TestCalibrateAlpha:

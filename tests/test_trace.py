@@ -433,6 +433,18 @@ class TestLoadErrors:
         p.write_text("\n".join(lines) + "\n")
         assert load_trace(p).rss_db[1] == -40.5
 
+    @pytest.mark.parametrize("old, new, what", [
+        (b"-45", b"-4\xff5", "not UTF-8 text"),
+        (b"sample_rate_hz=449.0", b"sample_rate_hz=44x", "bad metadata number"),
+        (b"center_freq_hz=434000000.0", b"center_freq_hz=", "bad metadata number"),
+    ])
+    def test_undecodable_byte_and_bad_metadata_number_name_the_path(
+            self, tmp_path, old, new, what):
+        p, _ = self.written(tmp_path)
+        p.write_bytes(p.read_bytes().replace(old, new, 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: ')}{what}"):
+            load_trace(p)
+
     @pytest.mark.parametrize("col, first, edited", [
         ("gt_speed_mps", 0.3, 1.7),
         ("gt_cross_t_s", 2.5, 2.5000000000000004),
@@ -466,8 +478,9 @@ class TestLoadFuzz:
                   st.one_of(STRUCTURE_BYTES, st.integers(0, 255))),
         min_size=1, max_size=8))
     def test_byte_edits_raise_only_value_error(self, tmp_path_session, edits):
-        """A damaged file either loads or raises ValueError (UnicodeDecodeError
-        included): never another exception."""
+        """A damaged file either loads or raises ValueError whose message
+        starts with the path (bytes that are not UTF-8 and metadata numbers
+        float() rejects included): never another exception."""
         p = tmp_path_session / "fuzz.csv"
         gt = GroundTruth(hr_bpm=np.linspace(60.0, 61.0, 6), speed_mps=0.9,
                          cross_t_s=0.004, label="punch")
@@ -485,5 +498,5 @@ class TestLoadFuzz:
         p.write_bytes(bytes(data))
         try:
             load_trace(p)
-        except ValueError:
-            pass
+        except ValueError as e:
+            assert str(e).startswith(f"{p}:"), e
