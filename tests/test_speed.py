@@ -181,6 +181,25 @@ class TestEstimateSpeed:
     def test_quiet_trace_yields_none(self, quiet_trace, tuned_cfg):
         assert estimate_speed(quiet_trace, tuned_cfg) is None
 
+    def test_two_crossings_report_the_first(self, tuned_cfg):
+        # two walkers stitched into one recording; crossings at 10 s and 26 s
+        a = simulate_crossing(CROSSING_LINK, WalkPath(1.0, 90.0, 1.0, -10.0, 20.0),
+                              NoiseModel(seed=21))
+        b = simulate_crossing(CROSSING_LINK, WalkPath(1.0, 90.0, 0.6, -3.6, 14.0),
+                              NoiseModel(seed=22))
+        both = make_trace(np.concatenate([a.rss_db, b.rss_db]), FS)
+        assert abs(estimate_speed(both, tuned_cfg).t_cross_s - 10.0) < 1.0
+
+    def test_crossing_after_a_quiet_lead_is_found(self, quiet_trace, tuned_cfg):
+        # 30 s of an empty link, then a 0.6 m/s walker crossing 6 s in
+        b = simulate_crossing(CROSSING_LINK, WalkPath(1.0, 90.0, 0.6, -3.6, 14.0),
+                              NoiseModel(seed=22))
+        late = make_trace(np.concatenate([quiet_trace.rss_db, b.rss_db]), FS)
+        alone = estimate_speed(b, tuned_cfg)
+        ev = estimate_speed(late, tuned_cfg)
+        assert abs(ev.t_cross_s - 36.0) < 1.0
+        assert abs(ev.f_min_av_hz - alone.f_min_av_hz) < 0.1 * alone.f_min_av_hz
+
     def test_calibrated_one_mps(self, quiet_trace, tuned_cfg):
         # calibrate alpha over a small speed grid, hold out a fresh 1.0 m/s run
         pts = []

@@ -86,6 +86,49 @@ class TestSingleLevel:
         np.testing.assert_allclose(ca, 3.0 * np.sqrt(2.0), atol=1e-12)
         np.testing.assert_allclose(cd, 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 17, 64, 255])
+    def test_matches_direct_symmetric_sum(self, n):
+        # the textbook definition, one coefficient at a time: c[k] is the sum
+        # over taps j of h[j] * x[2k + 1 - j], with x mirrored at both edges
+        # (edge sample repeated) and the mirror taken period 2n when n is
+        # shorter than the filter
+        def mirrored(i):
+            i %= 2 * n
+            return i if i < n else 2 * n - 1 - i
+
+        rng = np.random.default_rng(n + 100)
+        x = rng.normal(size=n)
+        bank = db3()
+        count = (n + bank.length - 1) // 2
+        want = [[sum(h[j] * x[mirrored(2 * k + 1 - j)] for j in range(bank.length))
+                 for k in range(count)] for h in (bank.dec_lo, bank.dec_hi)]
+        ca, cd = dwt_single(x, bank)
+        np.testing.assert_allclose(ca, want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cd, want[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_polynomials_below_degree_three_leave_no_interior_detail(self, degree):
+        # db3 has three vanishing moments; coefficients whose taps stay
+        # inside the signal (k = 2 .. (n - 2) // 2) see no mirrored edge; the
+        # residue is the rounding of the pinned taps, about 6e-12 here
+        n = 200
+        t = np.arange(n) / n
+        x = 1.0 + t ** degree
+        _, cd = dwt_single(x, db3())
+        assert np.max(np.abs(cd[2:(n - 2) // 2 + 1])) < 1e-10
+
+    def test_cubic_leaves_interior_detail(self):
+        # the moment of order three does not vanish: the bound above is not vacuous
+        n = 200
+        t = np.arange(n) / n
+        _, cd = dwt_single(1.0 + t ** 3, db3())
+        assert np.min(np.abs(cd[2:(n - 2) // 2 + 1])) > 1e-8
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, n):
+        with pytest.raises(ValueError, match="at least two samples"):
+            dwt_single(np.zeros(n), db3())
+
 
 class TestMultiLevel:
     @pytest.mark.parametrize("n,levels", [(64, 3), (100, 3), (101, 4), (1024, 5), (4096, 3)])
