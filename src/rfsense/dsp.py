@@ -18,10 +18,11 @@ from scipy.signal import sosfilt
 # Consistency constant relating MAD to the standard deviation of a Gaussian.
 MAD_SCALE = 1.4826
 
-# Float64 elements per windowed working block (32 MiB); bounds the memory of
-# both the interior and the edge paths of hampel_filter for any window size,
-# and of the windows spectrogram transforms at once.
-_BLOCK = 1 << 22
+# Float64 elements per working block (8 MiB). It bounds, for any input
+# size, the windows hampel_filter's interior and edge paths take at once,
+# the padded windows spectrogram transforms at once, the difference slab of
+# classifiers.knn_predict and the padded samples of one heart-rate block.
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,11 @@ STATUS_INSUFFICIENT = "insufficient_data"
 # motion-suppression threshold over the median quiescent peak
 _THRESHOLD_MARGIN = 10.0
 
-# Padded samples (rows x nfft) per block of stream windows. A block holds
-# about four arrays of that size (the windows, their filtered and tapered
-# copies, and the complex transform), so a quarter of dsp._BLOCK keeps it
-# near that memory budget: 16 rows at nfft = 65,536.
-_BLOCK_SAMPLES = _BLOCK // 4
+# Padded samples (rows x nfft) per block of stream windows: _BLOCK padded
+# samples, 16 rows at nfft = 65,536. A block holds about four arrays of that
+# size (the windows, their filtered and tapered copies, and the complex
+# transform).
+_BLOCK_SAMPLES = _BLOCK
 
 # Largest window or transform length a config may ask for: its power-of-two
 # nfft still fits a signed 64-bit array size.
@@ -74,6 +74,16 @@ class HeartRateConfig:
             raise ValueError("nfft_target_resolution_bpm must be positive")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
+        # the checks butterworth_bandpass makes, and a passband that holds
+        # the whole heart-rate band
+        if self.bandpass_order not in (2, 4, 6, 8):
+            raise ValueError(f"bandpass_order must be 2, 4, 6 or 8, not "
+                             f"{self.bandpass_order!r}")
+        if not 0.0 < self.bandpass_low_hz <= self.f_min_hz:
+            raise ValueError("need 0 < bandpass_low_hz <= f_min_hz")
+        if not self.bandpass_high_hz < self.sample_rate_hz / 2.0:
+            raise ValueError(f"bandpass_high_hz {self.bandpass_high_hz!r} is not below "
+                             f"half of sample_rate_hz {self.sample_rate_hz!r}")
         if self.psd_threshold is not None and self.psd_threshold <= 0:
             raise ValueError("psd_threshold must be positive when set")
         # window_samples and nfft round these to array sizes; an infinite or

@@ -238,6 +238,34 @@ class TestConfigValues:
         assert err.startswith(f"error: bad heart config for {p}: window_s")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, what", [
+        ("bandpass_order", 3, "bandpass_order must be 2, 4, 6 or 8, not 3"),
+        ("bandpass_low_hz", 4.0, "need 0 < bandpass_low_hz <= f_min_hz"),
+    ])
+    def test_bandpass_outside_the_designer_exits_2(self, key, value, what, vitals_dir,
+                                                   tmp_path, capsys):
+        """An order the designer refuses failed mid-stream (exit 1); a low
+        edge above f_min filtered out the heart-rate band and exited 0."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"heart": {key: value}}))
+        rc = run(["heartrate", str(vitals_dir / "vitals.csv"), "--config", str(cfg),
+                  "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad heart config: {what}")
+        assert not (tmp_path / "out").exists()
+
+    def test_trace_rate_below_the_bandpass_exits_2(self, tmp_path, capsys):
+        """At 8 Hz the 5 Hz upper band edge lies above the Nyquist frequency."""
+        p = tmp_path / "slow.csv"
+        save_trace(make_trace(np.random.default_rng(0).normal(-50.0, 1.0, 480),
+                              sample_rate_hz=8.0), p)
+        rc = run(["heartrate", str(p), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad heart config for {p}: bandpass_high_hz 5.0")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("window", ["inf", "nan", "0.5"])
     def test_bad_window_flag_exits_2(self, window, vitals_dir, tmp_path, capsys):
         rc = run(["heartrate", str(vitals_dir / "vitals.csv"), "--window", window,

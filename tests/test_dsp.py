@@ -5,6 +5,8 @@ magnitude response of the analog prototype mapped through the bilinear
 transform, computed here independently of the design code.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -419,6 +421,20 @@ class TestSpectrogram:
                 for s in range(0, len(x) - win_n + 1, hop_n)]
         assert spec.power.tobytes() == np.column_stack([c.power for c in cols]).tobytes()
         assert spec.frequencies.tobytes() == cols[0].frequencies.tobytes()
+
+    def test_peak_memory_of_a_long_series_is_bounded(self):
+        """600 s at 449 Hz with the corpus speed window: 2,384 columns of
+        2,049 bins are 37 MiB of output; the windows in flight stay within
+        a few 8 MiB blocks."""
+        x = np.random.default_rng(5).normal(-50.0, 1.0, 269_400)
+        tracemalloc.start()
+        try:
+            spec = spectrogram(x, 449.0, window_s=5.5, hop_s=0.25, nfft=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.power.shape == (2049, 2384)
+        assert peak < 80 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

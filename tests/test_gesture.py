@@ -376,7 +376,7 @@ class TestKnnBlocks:
         finally:
             tracemalloc.stop()
         # the one-shot difference array alone is 200 * 320 * 292 * 8 B = 143 MiB
-        assert peak < 48 * 2 ** 20
+        assert peak < 12 * 2 ** 20
         assert np.array_equal(got, oracle_knn_predict(model, X))
 
 

@@ -92,6 +92,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{what}, not a sample count"):
             HeartRateConfig(**fields)
 
+    @pytest.mark.parametrize("fields, what", [
+        ({"bandpass_order": 3}, "bandpass_order must be 2, 4, 6 or 8, not 3"),
+        ({"bandpass_order": 10}, "bandpass_order must be 2, 4, 6 or 8, not 10"),
+        ({"bandpass_low_hz": 0.0}, "need 0 < bandpass_low_hz <= f_min_hz"),
+        ({"bandpass_low_hz": 4.0}, "need 0 < bandpass_low_hz <= f_min_hz"),
+        ({"sample_rate_hz": 8.0}, "bandpass_high_hz 5.0 is not below half of "
+                                  "sample_rate_hz 8.0"),
+        ({"sample_rate_hz": 10.0}, "bandpass_high_hz 5.0 is not below half"),
+    ])
+    def test_bandpass_the_filter_designer_refuses_is_rejected(self, fields, what):
+        """A band the designer would refuse, or one that filters out the
+        heart-rate band, is a config error, not a failure mid-stream."""
+        with pytest.raises(ValueError, match=what):
+            HeartRateConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"bandpass_order": 2}, {"bandpass_order": 8},
+        {"bandpass_low_hz": CFG.f_min_hz}, {"sample_rate_hz": 10.5},
+    ])
+    def test_bandpass_at_the_limits_is_designed(self, fields):
+        cfg = HeartRateConfig(**fields)
+        assert len(heart._bandpass(cfg).sos) == cfg.bandpass_order // 2
+
     def test_largest_sample_counts_accepted(self):
         cfg = HeartRateConfig(window_s=2.0 ** 62 / FS,
                               nfft_target_resolution_bpm=60.0 * FS / 2.0 ** 62)
@@ -291,3 +314,20 @@ class TestBlockKernel:
                 monkeypatch.setattr(heart, "_BLOCK_SAMPLES", bound)
             got = stream_heart_rate(motion, cfg, second_harmonic)
             assert [fields(e) for e in got] == want
+
+    def test_blocks_hold_16_windows_of_65536_points(self, monkeypatch):
+        """At nfft = 65,536 a block holds 16 windows: a 300 s stream at 20 s
+        windows has 281 full windows, so 17 blocks of 16 and one of 9."""
+        rows = []
+        refresh = heart.hampel_refresh_edges
+
+        def spy(x, full, starts, *rest):
+            rows.append(len(starts))
+            return refresh(x, full, starts, *rest)
+
+        monkeypatch.setattr(heart, "hampel_refresh_edges", spy)
+        tr = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=4), 300.0)
+        ests = stream_heart_rate(tr, CFG)
+        windows = sum(e.status != STATUS_INSUFFICIENT for e in ests)
+        assert (CFG.window_s, CFG.nfft, windows) == (20.0, 65536, 281)
+        assert rows == [16] * 17 + [9]
