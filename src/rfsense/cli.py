@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import typing
 from contextlib import contextmanager
@@ -361,12 +362,12 @@ def _cmd_gesture(args, config: dict) -> int:
     entries = _read_gesture_manifest(Path(args.corpus))
     rows, data = [], []
     for path, label in entries:
+        name = os.path.relpath(path, args.corpus)   # relative to the manifest
         fv = _dominant_feature(path, seg_cfg)
         if fv is None:
-            rows.append([path.name, label, "(none)"])
+            rows.append([name, label, "(none)"])
             continue
-        predicted = gesture.classify(model, fv)
-        rows.append([path.name, label, predicted])
+        rows.append([name, label, gesture.classify(model, fv)])
         data.append((fv, label))
     if not data:
         raise UsageError("no gestures detected anywhere in the corpus")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -56,20 +56,24 @@ class SegmentationConfig:
     hampel: HampelConfig = field(default_factory=HampelConfig)
 
     def __post_init__(self):
-        if self.short_window < 2:
-            raise ValueError("short_window must be >= 2 samples")
-        if self.short_window >= self.long_window:
-            raise ValueError("short_window must be smaller than long_window")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must lie in (0, 1]")
-        if self.min_duration_s <= 0:
-            raise ValueError("min_duration_s must be positive")
-        if self.guard_s < 0:
-            raise ValueError("guard_s must be >= 0")
-        if not 0.0 <= self.trim_fraction < 1.0:
-            raise ValueError("trim_fraction must lie in [0, 1)")
-        if self.min_prominence < 1.0:
-            raise ValueError("min_prominence must be >= 1")
+        # lowpass_order and lowpass_cutoff_hz get the checks butterworth_lowpass
+        # makes, so a config is refused before any trace is read
+        for ok, what in (
+                (self.short_window >= 2, "short_window must be >= 2 samples"),
+                (self.short_window < self.long_window,
+                 "short_window must be smaller than long_window"),
+                (0.0 < self.threshold <= 1.0, "threshold must lie in (0, 1]"),
+                (self.min_duration_s > 0, "min_duration_s must be positive"),
+                (self.merge_gap_s >= 0, "merge_gap_s must be >= 0"),
+                (self.guard_s >= 0, "guard_s must be >= 0"),
+                (self.lowpass_cutoff_hz > 0, "lowpass_cutoff_hz must be positive"),
+                (self.lowpass_order in (2, 4, 6, 8),
+                 f"lowpass_order must be 2, 4, 6 or 8, not {self.lowpass_order!r}"),
+                (self.mean_window_s > 0, "mean_window_s must be positive"),
+                (0.0 <= self.trim_fraction < 1.0, "trim_fraction must lie in [0, 1)"),
+                (self.min_prominence >= 1.0, "min_prominence must be >= 1")):
+            if not ok:
+                raise ValueError(what)
 
 
 @dataclass(frozen=True)
@@ -408,86 +412,54 @@ def evaluate(model: TrainedModel, data) -> EvaluationResult:
 # ---------------------------------------------------------------------------
 
 
-def _state_to_json(model: TrainedModel):
-    s = model.state
-    if model.kind == "knn":
-        return {"k": s.k, "points": s.points.tolist(), "labels": s.labels.tolist(),
-                "n_classes": s.n_classes}
-    if model.kind == "linear_svm":
-        return {"weights": s.weights.tolist(), "n_classes": s.n_classes}
-    return {"trees": list(s.trees), "n_classes": s.n_classes,
-            "n_features": s.n_features}
-
-
-def _state_from_json(kind: str, blob: dict, n_features: int, path):
-    """Classifier state from its JSON object. A missing key, a count that is
-    not an int, a KNN k outside [1, number of points], a matrix of the wrong
-    shape or with an entry that is not a finite float, a class id out of
-    range or a malformed tree raises ValueError naming `path`, so that
-    classify never meets it."""
-    def need(key: str, ok: bool, what: str) -> None:
-        if not ok:
-            raise ValueError(f"{path}: model state {key!r} is not {what}")
-
-    try:
-        n_classes = blob["n_classes"]
-        need("n_classes", _is_int(n_classes), "an integer")
-        need("n_classes", n_classes == len(GESTURE_LABELS),
-             f"{len(GESTURE_LABELS)}, one class per gesture label")
-        if kind == "knn":
-            need("k", _is_int(blob["k"]), "an integer")
-            need("points", _is_matrix(blob["points"], n_features),
-                 f"a matrix of numbers with {n_features} columns")
-            need("points", _all_finite(blob["points"]), "a matrix of finite numbers")
-            need("k", 1 <= blob["k"] <= len(blob["points"]),
-                 f"in [1, {len(blob['points'])}], the number of points")
-            need("labels", _list_of(blob["labels"], int)
-                 and len(blob["labels"]) == len(blob["points"]),
-                 "a list of integers, one per point")
-            need("labels", all(0 <= v < n_classes for v in blob["labels"]),
-                 f"a list of class ids in [0, {n_classes})")
-            return _clf.KnnModel(k=blob["k"],
-                                 points=np.asarray(blob["points"], dtype=np.float64),
-                                 labels=np.asarray(blob["labels"], dtype=np.int64),
-                                 n_classes=n_classes)
-        if kind == "linear_svm":
-            need("weights", _is_matrix(blob["weights"], n_features + 1),
-                 f"a matrix of numbers with {n_features + 1} columns")
-            need("weights", _all_finite(blob["weights"]), "a matrix of finite numbers")
-            need("weights", len(blob["weights"]) == n_classes,
-                 f"a matrix with {n_classes} rows, one per class")
-            return _clf.LinearSvmModel(weights=np.asarray(blob["weights"],
-                                                          dtype=np.float64),
-                                       n_classes=n_classes)
-        need("n_features", _is_int(blob["n_features"]), "an integer")
-        need("trees", isinstance(blob["trees"], list) and len(blob["trees"]) > 0
-             and all(_is_tree(t, n_features, n_classes) for t in blob["trees"]),
-             f"a non-empty list of trees with leaves in [0, {n_classes}) "
-             f"and split features in [0, {n_features})")
-        return _clf.RandomForestModel(trees=tuple(blob["trees"]),
-                                      n_classes=n_classes,
-                                      n_features=blob["n_features"])
-    except KeyError as e:
-        raise ValueError(f"{path}: model state lacks key {e}") from None
+def _state_from_json(kind: str, blob: dict, n_features: int, need):
+    """Classifier state from its JSON object. A count that is not an int, a
+    KNN k outside [1, number of points], a matrix of the wrong shape or with
+    an entry that is not a finite float, a class id out of range or a
+    malformed tree fails `need`, so that classify never meets it."""
+    n_classes = blob["n_classes"]
+    need("n_classes", _is_int(n_classes), "is not an integer")
+    need("n_classes", n_classes == len(GESTURE_LABELS),
+         f"is not {len(GESTURE_LABELS)}, one class per gesture label")
+    if kind == "knn":
+        need("k", _is_int(blob["k"]), "is not an integer")
+        need("points", _is_matrix(blob["points"], n_features),
+             f"is not a matrix of numbers with {n_features} columns")
+        need("points", _all_finite(blob["points"]), "is not a matrix of finite numbers")
+        need("k", 1 <= blob["k"] <= len(blob["points"]),
+             f"is not in [1, {len(blob['points'])}], the number of points")
+        need("labels", _list_of(blob["labels"], int)
+             and len(blob["labels"]) == len(blob["points"]),
+             "is not a list of integers, one per point")
+        need("labels", all(0 <= v < n_classes for v in blob["labels"]),
+             f"is not a list of class ids in [0, {n_classes})")
+        return _clf.KnnModel(k=blob["k"], n_classes=n_classes,
+                             points=np.asarray(blob["points"], dtype=np.float64),
+                             labels=np.asarray(blob["labels"], dtype=np.int64))
+    if kind == "linear_svm":
+        need("weights", _is_matrix(blob["weights"], n_features + 1),
+             f"is not a matrix of numbers with {n_features + 1} columns")
+        need("weights", _all_finite(blob["weights"]), "is not a matrix of finite numbers")
+        need("weights", len(blob["weights"]) == n_classes,
+             f"is not a matrix with {n_classes} rows, one per class")
+        return _clf.LinearSvmModel(weights=np.asarray(blob["weights"], dtype=np.float64),
+                                   n_classes=n_classes)
+    need("n_features", _is_int(blob["n_features"]), "is not an integer")
+    need("trees", isinstance(blob["trees"], list) and len(blob["trees"]) > 0
+         and all(_is_tree(t, n_features, n_classes) for t in blob["trees"]),
+         f"is not a non-empty list of trees with leaves in [0, {n_classes}) "
+         f"and split features in [0, {n_features})")
+    return _clf.RandomForestModel(trees=tuple(blob["trees"]), n_classes=n_classes,
+                                  n_features=blob["n_features"])
 
 
 def save_model(model: TrainedModel, path) -> None:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "hyperparameters": model.hyperparameters,
-        "layout": list(model.layout),
-        "feature_mean": model.feature_mean.tolist(),
-        "feature_scale": model.feature_scale.tolist(),
-        "state": _state_to_json(model),
-    }
+    """Write format_version, then the model's fields and its state's in their
+    dataclasses' declaration order."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump({"format_version": MODEL_FORMAT_VERSION, **asdict(model)}, fh,
+                  default=np.ndarray.tolist)
         fh.write("\n")
-
-
-_MODEL_KEYS = ("kind", "hyperparameters", "layout", "feature_mean",
-               "feature_scale", "state")
 
 
 def _list_of(value, types) -> bool:
@@ -560,34 +532,32 @@ def load_model(path) -> TrainedModel:
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format "
                          f"{doc.get('format_version')!r}")
-    for key in _MODEL_KEYS:
-        if key not in doc:
-            raise ValueError(f"{path}: model lacks key {key!r}")
-    for key in ("hyperparameters", "state"):
-        if not isinstance(doc[key], dict):
-            raise ValueError(f"{path}: model {key!r} is not an object")
-    if not _list_of(doc["layout"], str):
-        raise ValueError(f"{path}: model 'layout' is not a list of strings")
-    for key in ("feature_mean", "feature_scale"):
-        if not _list_of(doc[key], (int, float)):
-            raise ValueError(f"{path}: model {key!r} is not a list of numbers")
-        if len(doc[key]) != len(doc["layout"]):
-            raise ValueError(f"{path}: model {key!r} has {len(doc[key])} entries "
-                             f"for {len(doc['layout'])} layout entries")
-    # Training maps a zero spread to 1, so every stored scale is positive.
-    if not all(map(_finite, doc["feature_mean"])):
-        raise ValueError(f"{path}: model 'feature_mean' has a non-finite entry")
-    if not all(_finite(v) and v > 0 for v in doc["feature_scale"]):
-        raise ValueError(f"{path}: model 'feature_scale' has an entry that is "
-                         "not finite and positive")
-    if doc["kind"] not in CLASSIFIER_KINDS:
-        raise ValueError(f"{path}: unknown classifier kind {doc['kind']!r}")
-    state = _state_from_json(doc["kind"], doc["state"], len(doc["layout"]), path)
-    return TrainedModel(
-        kind=doc["kind"],
-        hyperparameters=doc["hyperparameters"],
-        layout=tuple(doc["layout"]),
-        feature_mean=np.asarray(doc["feature_mean"]),
-        feature_scale=np.asarray(doc["feature_scale"]),
-        state=state,
-    )
+    where = "model"   # "model state" once the checks reach the state object
+
+    def need(key: str, ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"{path}: {where} {key!r} {what}")
+
+    try:
+        for key in ("hyperparameters", "state"):
+            need(key, isinstance(doc[key], dict), "is not an object")
+        layout = doc["layout"]
+        need("layout", _list_of(layout, str), "is not a list of strings")
+        for key in ("feature_mean", "feature_scale"):
+            need(key, _list_of(doc[key], (int, float)), "is not a list of numbers")
+            need(key, len(doc[key]) == len(layout),
+                 f"has {len(doc[key])} entries for {len(layout)} layout entries")
+        need("feature_mean", all(map(_finite, doc["feature_mean"])),
+             "has a non-finite entry")
+        # Training maps a zero spread to 1, so every stored scale is positive.
+        need("feature_scale", all(_finite(v) and v > 0 for v in doc["feature_scale"]),
+             "has an entry that is not finite and positive")
+        need("kind", doc["kind"] in CLASSIFIER_KINDS, f"is not one of {CLASSIFIER_KINDS}")
+        where = "model state"
+        state = _state_from_json(doc["kind"], doc["state"], len(layout), need)
+    except KeyError as e:
+        raise ValueError(f"{path}: {where} lacks key {e}") from None
+    return TrainedModel(kind=doc["kind"], hyperparameters=doc["hyperparameters"],
+                        layout=tuple(layout), state=state,
+                        feature_mean=np.asarray(doc["feature_mean"], dtype=np.float64),
+                        feature_scale=np.asarray(doc["feature_scale"], dtype=np.float64))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import dsp
 from .dsp import (
-    _BLOCK,
     HampelConfig,
     IirFilter,
     _frequencies,
@@ -35,12 +35,6 @@ STATUS_INSUFFICIENT = "insufficient_data"
 
 # motion-suppression threshold over the median quiescent peak
 _THRESHOLD_MARGIN = 10.0
-
-# Padded samples (rows x nfft) per block of stream windows: _BLOCK padded
-# samples, 16 rows at nfft = 65,536. A block holds about four arrays of that
-# size (the windows, their filtered and tapered copies, and the complex
-# transform).
-_BLOCK_SAMPLES = _BLOCK
 
 # Largest window or transform length a config may ask for: its power-of-two
 # nfft still fits a signed 64-bit array size.
@@ -210,7 +204,10 @@ def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
     first = int(np.searchsorted(starts, 0))
     out = [HeartRateEstimate(t, None, 0.0, STATUS_INSUFFICIENT) for t in times[:first]]
     bp = _bandpass(cfg)
-    rows = max(1, _BLOCK_SAMPLES // cfg.nfft)
+    # dsp._BLOCK padded samples (rows x nfft) per block of windows: 16 rows at
+    # nfft = 65,536. A block holds about four arrays of that size (the
+    # windows, their filtered and tapered copies, and the complex transform).
+    rows = max(1, dsp._BLOCK // cfg.nfft)
     for lo in range(first, len(times), rows):
         windows = hampel_refresh_edges(trace.rss_db, full, starts[lo:lo + rows],
                                        n_win, cfg.hampel)

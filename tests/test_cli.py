@@ -686,6 +686,48 @@ class TestGesture:
                     "--config", str(seg_cfg), "-o", str(tmp_path / "e")]) == 1
         assert not (tmp_path / "m").exists() and not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("key, value, what", [
+        ("lowpass_order", 3, "lowpass_order must be 2, 4, 6 or 8, not 3"),
+        ("lowpass_cutoff_hz", -5, "lowpass_cutoff_hz must be positive"),
+        ("mean_window_s", 0, "mean_window_s must be positive"),
+        ("mean_window_s", -1.0, "mean_window_s must be positive"),
+        ("merge_gap_s", -0.1, "merge_gap_s must be >= 0"),
+    ])
+    def test_segmentation_its_kernels_cannot_use_exits_2(
+            self, key, value, what, gesture_corpus, trained_model, tmp_path, capsys):
+        """An order the lowpass designer refuses and a negative cutoff failed
+        after a trace was read (exit 1); a negative merge gap gave overlapping
+        segments and a zero mean window a one-sample mean."""
+        train, _, _ = gesture_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"segmentation": {"long_window": 4490, key: value}}))
+        for args in (["train", str(train)],
+                     ["classify", "--trace", str(train / "punch_0.csv"),
+                      "--model", str(trained_model)]):
+            rc = run(["gesture", *args, "--config", str(cfg), "-o", str(tmp_path / "out")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: bad segmentation config: {what}"), args
+            assert not (tmp_path / "out").exists()
+
+    def test_predictions_name_each_trace_relative_to_the_manifest(
+            self, gesture_corpus, trained_model, tmp_path):
+        """Two traces that share a file name in different directories get
+        rows that tell them apart."""
+        _, test, seg_cfg = gesture_corpus
+        corpus = tmp_path / "nested"
+        rows = ["file,label"]
+        for label in ("punch", "drag"):
+            (corpus / label / "1").mkdir(parents=True)
+            shutil.copy(test / f"{label}_0.csv", corpus / label / "1" / "gesture.csv")
+            rows.append(f"{label}/1/gesture.csv,{label}")
+        (corpus / "manifest.csv").write_text("\n".join(rows) + "\n")
+        assert run(["gesture", "eval", str(corpus), "--model", str(trained_model),
+                    "--config", str(seg_cfg), "-o", str(tmp_path / "e")]) == 0
+        with open(tmp_path / "e" / "predictions.csv", newline="") as fh:
+            names = [row["file"] for row in csv.DictReader(fh)]
+        assert names == ["punch/1/gesture.csv", "drag/1/gesture.csv"]
+
 
 class TestSpeed:
     def test_calibrate_outputs(self, calibrated):

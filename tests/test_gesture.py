@@ -123,6 +123,20 @@ class TestSegmentation:
         with pytest.raises(ValueError):
             SegmentationConfig(min_prominence=0.5)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lowpass_order", 3), ("lowpass_order", 10), ("lowpass_cutoff_hz", 0.0),
+        ("lowpass_cutoff_hz", -5.0), ("mean_window_s", 0.0), ("mean_window_s", -1.0),
+        ("merge_gap_s", -0.1),
+    ])
+    def test_config_refuses_what_its_kernels_cannot_use(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            SegmentationConfig(**{key: value})
+
+    def test_config_edges_accepted(self):
+        for order in (2, 4, 6, 8):
+            SegmentationConfig(lowpass_order=order)
+        SegmentationConfig(merge_gap_s=0.0, lowpass_cutoff_hz=1.0, mean_window_s=0.5)
+
 
 class TestFeatures:
     def seg_from(self, samples):
@@ -437,7 +451,34 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'{key}'"):
             load_model(path)
 
+    def test_missing_state_key_names_the_state(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(train(blob_dataset(seed=14, per_class=4), "knn"), path)
+        doc = json.loads(path.read_text())
+        del doc["state"]["points"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: model state "
+                                             "lacks key 'points'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind, state_keys", [
+        ("knn", ["k", "points", "labels", "n_classes"]),
+        ("linear_svm", ["weights", "n_classes"]),
+        ("random_forest", ["trees", "n_classes", "n_features"]),
+    ])
+    def test_file_keys_keep_their_order(self, kind, state_keys, tmp_path):
+        """save_model writes the dataclasses' fields in declaration order, so
+        reordering a field would change the file; the order is pinned here."""
+        path = tmp_path / "m.json"
+        save_model(train(blob_dataset(seed=14, per_class=4), kind), path)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["format_version", "kind", "hyperparameters", "layout",
+                             "feature_mean", "feature_scale", "state"]
+        assert list(doc["state"]) == state_keys
+        assert path.read_text().endswith("}\n")
+
     @pytest.mark.parametrize("key, value, kind", [
+        ("kind", "svm", "one of"),
         ("state", [], "an object"),
         ("state", 5, "an object"),
         ("hyperparameters", [1], "an object"),
@@ -524,6 +565,19 @@ class TestPersistence:
         assert points.dtype == np.float64
         assert points[0, 0] == 1e30
         assert np.array_equal(points[1:], np.round(model.state.points[1:]))
+
+    def test_standardization_loads_as_float64(self, tmp_path):
+        """All-integer entries, one too large for int64, become float64."""
+        path = tmp_path / "m.json"
+        save_model(train(blob_dataset(seed=14, per_class=4), "knn"), path)
+        doc = json.loads(path.read_text())
+        doc["feature_mean"] = [0, 10 ** 30]
+        doc["feature_scale"] = [1, 2]
+        path.write_text(json.dumps(doc))
+        model = load_model(path)
+        assert model.feature_mean.dtype == model.feature_scale.dtype == np.float64
+        assert model.feature_mean.tolist() == [0.0, 1e30]
+        assert model.feature_scale.tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize("trees", [
         [],

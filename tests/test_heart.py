@@ -5,7 +5,7 @@ stream/window bit-equality against a full-periodogram oracle."""
 import numpy as np
 import pytest
 
-from rfsense import heart
+from rfsense import dsp, heart
 from rfsense.dsp import butterworth_bandpass, filter_forward, hampel_filter, periodogram
 from rfsense.heart import (
     STATUS_ESTIMATE,
@@ -308,10 +308,10 @@ class TestBlockKernel:
         statuses = {w[3] for w in want}
         assert statuses == {STATUS_INSUFFICIENT, STATUS_ESTIMATE, STATUS_SUPPRESSED}
         # One row per block, three rows (a partial block at the end), and the
-        # default bound (every full window in one block).
-        for bound in (1, 3 * cfg.nfft, None):
-            if bound is not None:
-                monkeypatch.setattr(heart, "_BLOCK_SAMPLES", bound)
+        # default block of 16 rows: the 53, 43 and 23 full windows at 10, 20
+        # and 40 s take 4, 3 and 2 blocks.
+        for bound in (1, 3 * cfg.nfft, dsp._BLOCK):
+            monkeypatch.setattr(dsp, "_BLOCK", bound)
             got = stream_heart_rate(motion, cfg, second_harmonic)
             assert [fields(e) for e in got] == want
 
