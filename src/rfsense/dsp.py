@@ -408,16 +408,19 @@ def next_pow2(n: int) -> int:
 
 def _psd_rows(rows: np.ndarray, fs: float, nfft: int, hann: np.ndarray,
               bins=slice(None)) -> np.ndarray:
-    """One-sided periodogram power of each row of a 2-D block, at `bins`.
+    """One-sided periodogram power of each row of a 2-D block, at `bins`;
+    overwrites `rows`.
 
-    Each row is mean-removed, multiplied by `hann` and zero-padded to nfft.
-    Every step is row-wise and the fold and scale are elementwise, so a
-    row's power at a bin depends neither on the rest of the block nor on
-    which other bins are read.
+    Each row is mean-removed and multiplied by `hann` in place, then
+    zero-padded to nfft. Every step is row-wise and the fold and scale are
+    elementwise, so a row's power at a bin depends neither on the rest of
+    the block nor on which other bins are read.
     """
     n = rows.shape[1]
-    y = (rows - rows.mean(axis=1, keepdims=True)) * hann
-    power = np.abs(np.fft.rfft(y, nfft, axis=1)[:, bins]) ** 2
+    rows -= rows.mean(axis=1, keepdims=True)
+    rows *= hann
+    power = np.abs(np.fft.rfft(rows, nfft, axis=1)[:, bins])
+    np.multiply(power, power, out=power)
     # One-sided fold: interior bins carry the conjugate half too.
     weights = np.full(nfft // 2 + 1, 2.0)
     weights[0] = 1.0
@@ -433,7 +436,7 @@ def _frequencies(nfft: int, fs: float) -> np.ndarray:
 
 def periodogram(x, fs: float, nfft: int | None = None) -> Psd:
     """Hann-windowed, mean-removed, zero-padded one-sided periodogram."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64)  # a copy: _psd_rows overwrites it
     n = len(x)
     if n < 2:
         raise ValueError("periodogram needs at least two samples")
@@ -463,8 +466,9 @@ def spectrogram(x, fs: float, window_s: float, hop_s: float,
                 nfft: int | None = None) -> Spectrogram:
     """Column j is periodogram(x[s_j : s_j + win], fs, nfft).power.
 
-    Windows are transformed in blocks of at most _BLOCK padded samples, so
-    the memory stays bounded for a long series.
+    Windows are gathered and transformed in blocks of at most _BLOCK padded
+    samples, so the memory stays bounded for a long series; each gathered
+    block is a copy, which _psd_rows tapers in place.
     """
     x = np.asarray(x, dtype=np.float64)
     win_n = int(round(window_s * fs))

@@ -103,12 +103,22 @@ def _lowpass(order: int, cutoff_hz: float, fs: float) -> IirFilter:
     return butterworth_lowpass(order, cutoff_hz, fs)
 
 
+def _mean_samples(cfg: SegmentationConfig, fs: float) -> int:
+    """The local mean window in samples at `fs`. Below 1.5 samples it rounds
+    to a mean of one sample (or none), which would leave rounding residue."""
+    mean_n = int(round(cfg.mean_window_s * fs))
+    if mean_n < 2:
+        raise ValueError(f"mean_window_s {cfg.mean_window_s!r} is below 1.5 samples "
+                         f"at {fs!r} Hz")
+    return mean_n
+
+
 def preprocess(rss_db: np.ndarray, fs: float, cfg: SegmentationConfig) -> np.ndarray:
     """Hampel -> lowpass -> local mean removal; the series segments see."""
+    mean_n = _mean_samples(cfg, fs)
     x = hampel_filter(rss_db, cfg.hampel)
     if cfg.lowpass_cutoff_hz < fs / 2:
         x = filter_forward(_lowpass(cfg.lowpass_order, cfg.lowpass_cutoff_hz, fs), x)
-    mean_n = max(1, int(round(cfg.mean_window_s * fs)))
     return x - moving_average(x, mean_n)
 
 
@@ -126,6 +136,7 @@ def segment(trace: RssTrace, cfg: SegmentationConfig = SegmentationConfig()
             ) -> list[GestureSegment]:
     """Variance-burst detection; returns segments ordered by start time."""
     fs = trace.metadata.sample_rate_hz
+    mean_n = _mean_samples(cfg, fs)
     n = len(trace)
     if n <= cfg.long_window:
         raise ValueError(f"trace of {n} samples no longer than the "
@@ -175,7 +186,6 @@ def segment(trace: RssTrace, cfg: SegmentationConfig = SegmentationConfig()
     # (b) shrink each survivor to where variance clears a fraction of its peak.
     if kept:
         peaks = [float(v[s0: s1 - w + 2].max()) for s0, s1 in kept]
-        mean_n = max(1, int(round(cfg.mean_window_s * fs)))
         groups: list[list[int]] = [[0]]
         for i in range(1, len(kept)):
             if kept[i][0] - kept[i - 1][1] - 1 < mean_n:

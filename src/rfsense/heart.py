@@ -118,14 +118,17 @@ def _bandpass(cfg: HeartRateConfig) -> IirFilter:
                                 cfg.bandpass_high_hz, cfg.sample_rate_hz)
 
 
-def _score(windows: np.ndarray, times, bp: IirFilter, cfg: HeartRateConfig,
-           second_harmonic: bool) -> list[HeartRateEstimate]:
-    """Estimates for Hampel-filtered windows, one per row, stamped `times`.
+def _band_spectra(windows: np.ndarray, bp: IirFilter, hann: np.ndarray,
+                  cfg: HeartRateConfig, second_harmonic: bool
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The bpm of each resting-band bin and each row's power there, for
+    Hampel-filtered windows, one per row; overwrites `windows`.
 
-    Each row is mean-removed, bandpassed and transformed to its zero-padded
-    periodogram, of which only the band bins (and, with second_harmonic,
-    their harmonics) are folded and scaled. Every step is row-wise, so a
-    row's estimate does not depend on the rest of the block.
+    Each row is mean-removed in place, bandpassed and transformed to its
+    zero-padded periodogram with the taper `hann`, of which only the band
+    bins are folded and scaled; with second_harmonic each bin's harmonic is
+    read too and added in. Every step is row-wise, so a row's power does
+    not depend on the rest of the block.
     """
     fs = cfg.sample_rate_hz
     f = _frequencies(cfg.nfft, fs)
@@ -134,17 +137,23 @@ def _score(windows: np.ndarray, times, bp: IirFilter, cfg: HeartRateConfig,
     k = np.arange(k0, k1 + 1)
     # power-of-two nfft puts 2 f_k exactly on the grid at index 2k
     read = np.concatenate((k, 2 * k)) if second_harmonic else k
-    filtered = filter_forward(bp, windows - windows.mean(axis=1, keepdims=True))
-    power = _psd_rows(filtered, fs, cfg.nfft, np.hanning(windows.shape[1]), read)
+    windows -= windows.mean(axis=1, keepdims=True)
+    power = _psd_rows(filter_forward(bp, windows), fs, cfg.nfft, hann, read)
     summed = power[:, :len(k)] + power[:, len(k):] if second_harmonic else power
+    return 60.0 * f[k], summed
+
+
+def _estimates(bpm: np.ndarray, summed: np.ndarray, times,
+               cfg: HeartRateConfig) -> list[HeartRateEstimate]:
+    """One estimate per row of `summed`, stamped `times`: the bpm of its
+    peak bin, or suppressed when the peak reaches cfg.psd_threshold."""
     out = []
     for t, peak, best in zip(times, summed.max(axis=1), summed.argmax(axis=1)):
         peak = float(peak)
         if cfg.psd_threshold is not None and peak >= cfg.psd_threshold:
             out.append(HeartRateEstimate(t, None, peak, STATUS_SUPPRESSED))
         else:
-            out.append(HeartRateEstimate(t, 60.0 * float(f[k[best]]), peak,
-                                         STATUS_ESTIMATE))
+            out.append(HeartRateEstimate(t, float(bpm[best]), peak, STATUS_ESTIMATE))
     return out
 
 
@@ -162,7 +171,9 @@ def estimate_window(window_rss: np.ndarray, cfg: HeartRateConfig = HeartRateConf
     if len(window_rss) > cfg.nfft:
         raise ValueError(f"nfft={cfg.nfft} shorter than the window ({len(window_rss)})")
     w = hampel_filter(window_rss, cfg.hampel)
-    return _score(w[None, :], [time_s], _bandpass(cfg), cfg, second_harmonic)[0]
+    bpm, summed = _band_spectra(w[None, :], _bandpass(cfg), np.hanning(len(w)), cfg,
+                                second_harmonic)
+    return _estimates(bpm, summed, [time_s], cfg)[0]
 
 
 def estimate_window_single_harmonic(window_rss: np.ndarray,
@@ -204,14 +215,17 @@ def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
     first = int(np.searchsorted(starts, 0))
     out = [HeartRateEstimate(t, None, 0.0, STATUS_INSUFFICIENT) for t in times[:first]]
     bp = _bandpass(cfg)
+    hann = np.hanning(n_win)
     # dsp._BLOCK padded samples (rows x nfft) per block of windows: 16 rows at
-    # nfft = 65,536. A block holds about four arrays of that size (the
-    # windows, their filtered and tapered copies, and the complex transform).
+    # nfft = 65,536. A block holds the windows and their filtered copy, each
+    # mean-removed or tapered in place, and the complex transform, which is
+    # the size of the block.
     rows = max(1, dsp._BLOCK // cfg.nfft)
     for lo in range(first, len(times), rows):
         windows = hampel_refresh_edges(trace.rss_db, full, starts[lo:lo + rows],
                                        n_win, cfg.hampel)
-        out.extend(_score(windows, times[lo:lo + rows], bp, cfg, second_harmonic))
+        bpm, summed = _band_spectra(windows, bp, hann, cfg, second_harmonic)
+        out.extend(_estimates(bpm, summed, times[lo:lo + rows], cfg))
     return out
 
 

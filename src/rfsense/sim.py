@@ -23,7 +23,9 @@ sampled per trace from the generator seed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import fresnel
@@ -364,33 +366,34 @@ def _with_id(trace: RssTrace, trace_id: str) -> RssTrace:
     return trace
 
 
-def make_corpora(seed: int, fs: float = DEFAULT_SAMPLE_RATE_HZ) -> dict:
-    """Deterministic evaluation corpora: vitals, gesture train/test, crossing."""
-    root_rng = np.random.default_rng(seed)
-
-    def next_seed() -> int:
-        return int(root_rng.integers(0, 2 ** 63))
-
+def _vitals_corpus(seeds: list, fs: float) -> list:
     vitals = []
-    for i, profile_pts in enumerate(VITALS_HR_PROFILES):
+    for i, (profile_pts, seed) in enumerate(zip(VITALS_HR_PROFILES, seeds)):
         profile = VitalSignsProfile(heart_rate_bpm=profile_pts)
         # 0.02 dB receiver noise puts the 0.005 dB pulse where both window
         # regimes are visible: 10 s windows are peak-jitter limited, 40 s
         # windows lag the drifting rate
-        noise = NoiseModel(gaussian_sigma_db=0.02, seed=next_seed())
+        noise = NoiseModel(gaussian_sigma_db=0.02, seed=seed)
         trace = simulate_vitals(profile, noise, duration_s=300.0, fs=fs)
         vitals.append(_with_id(trace, f"vitals_{i}"))
+    return vitals
 
-    gesture_train, gesture_test = [], []
-    for split, count, bucket in (("train", GESTURES_PER_LABEL_TRAIN, gesture_train),
-                                 ("test", GESTURES_PER_LABEL_TEST, gesture_test)):
-        for label in GESTURE_LABELS:
-            for i in range(count):
-                noise = NoiseModel(seed=next_seed())
-                trace = simulate_gesture(DEFAULT_TEMPLATES[label], noise,
-                                         fs=fs, seed=next_seed())
-                bucket.append(_with_id(trace, f"gesture_{split}_{label}_{i:02d}"))
 
+def _gesture_corpus(split: str, count: int, seeds: list, fs: float) -> list:
+    """`count` traces per label; each takes a noise seed, then a waveform seed."""
+    seeds = iter(seeds)
+    bucket = []
+    for label in GESTURE_LABELS:
+        for i in range(count):
+            noise = NoiseModel(seed=next(seeds))
+            trace = simulate_gesture(DEFAULT_TEMPLATES[label], noise, fs=fs,
+                                     seed=next(seeds))
+            bucket.append(_with_id(trace, f"gesture_{split}_{label}_{i:02d}"))
+    return bucket
+
+
+def _crossing_corpus(seeds: list, fs: float) -> list:
+    seeds = iter(seeds)
     crossing = []
     for v in CROSSING_SPEEDS:
         for pos in CROSSING_POSITIONS:
@@ -398,10 +401,63 @@ def make_corpora(seed: int, fs: float = DEFAULT_SAMPLE_RATE_HZ) -> dict:
                 path = WalkPath(crossing_m=pos, angle_deg=ang, speed_mps=v,
                                 start_offset_m=-v * CROSSING_DURATION_S / 2.0,
                                 duration_s=CROSSING_DURATION_S)
-                noise = NoiseModel(seed=next_seed())
+                noise = NoiseModel(seed=next(seeds))
                 trace = simulate_crossing(CROSSING_LINK, path, noise, fs=fs)
                 crossing.append(_with_id(
                     trace, f"crossing_v{v:.1f}_p{pos:.3f}_a{int(ang)}"))
+    return crossing
 
-    return {"vitals": vitals, "gesture_train": gesture_train,
-            "gesture_test": gesture_test, "crossing": crossing}
+
+class _Corpora(Mapping):
+    """Read-only map from corpus name to its list of traces; each list is
+    built by its zero-argument builder on first read and then kept.
+
+    Iteration, `values()` and `items()` read through `[]`, so walking the
+    map builds every corpus.
+    """
+
+    def __init__(self, builders: dict):
+        self._builders = builders
+        self._built: dict = {}
+
+    def __getitem__(self, name: str) -> list:
+        if name not in self._built:
+            self._built[name] = self._builders[name]()
+        return self._built[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._builders
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+
+def make_corpora(seed: int, fs: float = DEFAULT_SAMPLE_RATE_HZ) -> Mapping:
+    """Deterministic evaluation corpora: vitals, gesture train/test, crossing.
+
+    Every trace seed is drawn here, in the order of the names, so each
+    corpus is the same whichever corpora are read and in what order. A
+    corpus is simulated on its first read and kept: a caller pays only for
+    the corpora it reads, and reading all four costs what building them
+    at once did.
+    """
+    root_rng = np.random.default_rng(seed)
+
+    def draw(count: int) -> list:
+        return [int(root_rng.integers(0, 2 ** 63)) for _ in range(count)]
+
+    n_labels = len(GESTURE_LABELS)
+    vitals = draw(len(VITALS_HR_PROFILES))
+    train = draw(2 * n_labels * GESTURES_PER_LABEL_TRAIN)
+    test = draw(2 * n_labels * GESTURES_PER_LABEL_TEST)
+    crossing = draw(len(CROSSING_SPEEDS) * len(CROSSING_POSITIONS) * len(CROSSING_ANGLES))
+    return _Corpora({
+        "vitals": partial(_vitals_corpus, vitals, fs),
+        "gesture_train": partial(_gesture_corpus, "train", GESTURES_PER_LABEL_TRAIN,
+                                 train, fs),
+        "gesture_test": partial(_gesture_corpus, "test", GESTURES_PER_LABEL_TEST,
+                                test, fs),
+        "crossing": partial(_crossing_corpus, crossing, fs)})

@@ -674,6 +674,26 @@ class TestGesture:
             assert err.startswith(f"error: {short}: trace of 300 samples"), args
             assert not (tmp_path / "out").exists()
 
+    def test_mean_window_below_one_and_a_half_samples_exits_1_naming_the_trace(
+            self, gesture_corpus, trained_model, tmp_path, capsys):
+        """The config holds no sample rate, so the window is checked against
+        the rate of the first trace read."""
+        train, test, _ = gesture_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"segmentation": {"long_window": 4490,
+                                                    "mean_window_s": 1e-3}}))
+        for args, first in ((["train", str(train)], train / "punch_0.csv"),
+                            (["eval", str(test), "--model", str(trained_model)],
+                             test / "punch_0.csv"),
+                            (["classify", "--trace", str(test / "drag_1.csv"),
+                              "--model", str(trained_model)], test / "drag_1.csv")):
+            rc = run(["gesture", *args, "--config", str(cfg), "-o", str(tmp_path / "out")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err == (f"error: {first}: mean_window_s 0.001 is below 1.5 samples "
+                           f"at 449.0 Hz\n"), args
+            assert not (tmp_path / "out").exists()
+
     def test_failed_train_and_eval_leave_no_output_dir(self, gesture_corpus, tmp_path):
         train, test, seg_cfg = gesture_corpus
         empty = tmp_path / "empty"

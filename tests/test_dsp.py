@@ -229,6 +229,30 @@ class TestHampel:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+class TestInputsStayTheCallers:
+    """The spectral kernels taper their own copy in place: a read-only input
+    gives the same bits as a writable one, and a writable one is left as it
+    was."""
+
+    @pytest.mark.parametrize("kernel", [
+        lambda x: periodogram(x, 100.0).power,
+        lambda x: periodogram(x, 100.0, nfft=4096).power,
+        lambda x: spectrogram(x, 100.0, window_s=2.0, hop_s=0.5).power,
+        lambda x: spectrogram(x, 100.0, window_s=2.0, hop_s=0.5, nfft=1024).power,
+        lambda x: hampel_filter(x, HampelConfig(half_window=20)),
+    ], ids=["periodogram", "periodogram_nfft", "spectrogram", "spectrogram_nfft",
+            "hampel_filter"])
+    def test_read_only_input_gives_the_same_bits(self, kernel):
+        x = np.random.default_rng(13).normal(-50.0, 3.0, 1500)
+        x[::97] += 20.0
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        writable = x.copy()
+        got = kernel(frozen)
+        assert got.tobytes() == kernel(writable).tobytes()
+        assert writable.tobytes() == x.tobytes()
+
+
 # ---------------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ a hand-built signal or a hand-built cluster layout.
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,6 +137,30 @@ class TestSegmentation:
         for order in (2, 4, 6, 8):
             SegmentationConfig(lowpass_order=order)
         SegmentationConfig(merge_gap_s=0.0, lowpass_cutoff_hz=1.0, mean_window_s=0.5)
+
+    @pytest.mark.parametrize("samples", [1e-3 * FS, 0.5, 1.0, 1.49])
+    def test_mean_window_below_one_and_a_half_samples_is_refused(self, samples):
+        """It rounded to a one-sample mean (or none), so every later stage
+        saw rounding residue in place of the series."""
+        cfg = replace(TEST_CFG, mean_window_s=samples / FS)
+        x = quiet_trace(45.0, seed=2)
+        what = re.escape(f"mean_window_s {cfg.mean_window_s!r} is below 1.5 samples "
+                         f"at {FS!r} Hz")
+        with pytest.raises(ValueError, match=f"^{what}$"):
+            segment(make_trace(x, FS), cfg)
+        with pytest.raises(ValueError, match=f"^{what}$"):
+            preprocess(x, FS, cfg)
+        # the sample rate decides: the same window is two samples at 2 / mean_window_s
+        preprocess(x, 2.0 / cfg.mean_window_s, cfg)
+
+    @pytest.mark.parametrize("samples", [1.5, 1.51, 2.0])
+    def test_mean_window_from_one_and_a_half_samples_is_used(self, samples):
+        cfg = replace(TEST_CFG, mean_window_s=samples / FS)
+        x = quiet_trace(45.0, seed=2)
+        add_burst(x, 30.0)
+        # a one-sample mean left at most 7e-15 of a 2 dB burst
+        assert np.max(np.abs(preprocess(x, FS, cfg))) > 0.1
+        assert isinstance(segment(make_trace(x, FS), cfg), list)
 
 
 class TestFeatures:

@@ -278,6 +278,32 @@ class TestStream:
         assert len(ests) == 30
 
 
+class TestInputsStayTheCallers:
+    """The block kernel mean-removes and tapers its own copies in place: a
+    read-only series gives the same estimates as a writable one, and a
+    writable one is left as it was."""
+
+    @pytest.mark.parametrize("second_harmonic", [True, False])
+    def test_estimate_window_on_a_read_only_window(self, drift_trace, second_harmonic):
+        x = drift_trace.rss_db[1000:1000 + CFG.window_samples + 17].copy()
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        writable = x.copy()
+        got = estimate_window(frozen, CFG, 3.0, second_harmonic)
+        assert repr(got) == repr(estimate_window(writable, CFG, 3.0, second_harmonic))
+        assert writable.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("window_s", [10.0, 40.0])
+    def test_stream_on_a_read_only_trace(self, window_s):
+        x = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=4), 60.0).rss_db
+        frozen, writable = make_trace(x.copy(), FS), make_trace(x.copy(), FS)
+        frozen.rss_db.flags.writeable = False
+        cfg = HeartRateConfig(window_s=window_s)
+        got = stream_heart_rate(frozen, cfg)
+        assert repr(got) == repr(stream_heart_rate(writable, cfg))
+        assert writable.rss_db.tobytes() == x.tobytes()
+
+
 @pytest.fixture(scope="module")
 def rest_and_motion():
     """62 s at rest, and the same with a gross-motion burst at 50-53 s. 62 s

@@ -1,6 +1,7 @@
 """Simulator checks: knife-edge gain against an independent oracle, channel
 geometry invariants, vitals waveform structure, and corpus determinism."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from rfsense.sim import (
     simulate_gesture,
     simulate_vitals,
 )
+from rfsense import sim
 from rfsense import trace as rftrace
 from rfsense.gesture import GESTURE_LABELS
 
@@ -239,6 +241,21 @@ class TestGestureSim:
             GestureTemplate("punch", 0.5, 2.0, 10.0, 5.0, envelope="square")
 
 
+N_TRACES = 3 + 65 * len(GESTURE_LABELS) + 240
+
+
+def _digest(traces) -> str:
+    h = hashlib.sha256()
+    for t in traces:
+        gt = t.ground_truth
+        h.update(t.metadata.extras["trace_id"].encode())
+        h.update(t.rss_db.tobytes())
+        h.update(b"" if gt.hr_bpm is None else gt.hr_bpm.tobytes())
+        h.update(repr((gt.speed_mps, gt.cross_t_s, gt.label, gt.start_s,
+                       gt.end_s)).encode())
+    return h.hexdigest()
+
+
 class TestCorpora:
     def test_sizes_and_determinism(self):
         a = make_corpora(123)
@@ -258,16 +275,62 @@ class TestCorpora:
         assert all(t.ground_truth.label in GESTURE_LABELS for t in corp["gesture_train"])
         assert all(t.ground_truth.speed_mps in CROSSING_SPEEDS for t in corp["crossing"])
         ids = [t.metadata.extras["trace_id"] for bucket in corp.values() for t in bucket]
-        assert len(ids) == len(set(ids))
+        assert len(ids) == len(set(ids)) == N_TRACES
+
+    # sha256 of each corpus's ids, samples and ground truth (_digest),
+    # recorded when make_corpora still built all four corpora at once
+    PINNED = {
+        0: {"vitals": "7f5f82cce05dec28b55f0b7b4d66022da90c0aea5d4591d3e5875ac16d44982f",
+            "gesture_train": "0cade4bd67fa72633ebf718fe7bb84313e214ff8b1fff95661082c79921f5f0a",
+            "gesture_test": "1c014c71c9794961194d2a1559195785850957153950c6c0f3343d85fd7a75c8",
+            "crossing": "36879ac0bcdb0de5376c6e9d1c9767bf77186b950ffed58f635e812a05384aff"},
+        1: {"vitals": "cd44274f7bacadc7f2ad045fea30d59877d9f50ac9f0b51e041f8fa8297e06e4",
+            "gesture_train": "4d62b5a92d5b7e437693d519eeda3a6e74f5a4565c543c7c7ef1a6daa788c725",
+            "gesture_test": "a1f015f91701f0573127a4243d98ed47864dcf119ee013ca428fb613a4cf2ad9",
+            "crossing": "48087118b2c49731bf6c792be08f1e0da36223d0746d6c8b5fb7e48b7d1ab163"},
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bytes_are_pinned_whatever_the_read_order(self, seed):
+        corp = make_corpora(seed)
+        got = {name: _digest(corp[name]) for name in reversed(list(corp))}
+        assert list(corp) == ["vitals", "gesture_train", "gesture_test", "crossing"]
+        assert got == self.PINNED[seed]
+
+    def test_a_corpus_is_simulated_on_first_read_only(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a corpus that was not read")
+
+        monkeypatch.setattr(sim, "simulate_gesture", refuse)
+        monkeypatch.setattr(sim, "simulate_crossing", refuse)
+        corp = make_corpora(0)
+        assert "crossing" in corp and "gait" not in corp and len(corp) == 4
+        vitals = corp["vitals"]
+        assert corp["vitals"] is vitals
+        assert _digest(vitals) == self.PINNED[0]["vitals"]
+        with pytest.raises(AssertionError, match="not read"):
+            corp["crossing"]
+        with pytest.raises(KeyError):
+            corp["gait"]
+        with pytest.raises(TypeError):
+            corp["vitals"] = []
+
+    def test_walking_items_builds_every_corpus(self):
+        """test_ground_truth_and_ids_present walks values()."""
+        traces = [t for _, bucket in make_corpora(5).items() for t in bucket]
+        ids = {t.metadata.extras["trace_id"] for t in traces}
+        assert len(traces) == len(ids) == N_TRACES
 
     def test_traces_share_one_time_axis(self, monkeypatch):
         """Every corpus trace views the one nominal axis rather than holding
         its own np.arange(n) / fs, which was about half the corpora's memory
-        (100.8 MiB held with a copy per trace, 53 MiB with the shared axis)."""
+        (100.8 MiB held with a copy per trace, 53 MiB with the shared axis).
+        All four corpora are read inside the traced region."""
         monkeypatch.setattr(rftrace, "_nominal_axis", (0.0, np.empty(0), []))
         tracemalloc.start()
         try:
             corp = make_corpora(0)
+            assert sum(len(bucket) for bucket in corp.values()) == N_TRACES
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
