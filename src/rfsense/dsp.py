@@ -20,8 +20,11 @@ MAD_SCALE = 1.4826
 
 # Float64 elements per working block (8 MiB). It bounds, for any input
 # size, the windows hampel_filter's interior and edge paths take at once,
-# the padded windows spectrogram transforms at once, the difference slab of
+# the temporaries of one span of its interior screen, the padded windows
+# spectrogram transforms at once, the difference slab of
 # classifiers.knn_predict and the padded samples of one heart-rate block.
+# The moving statistics need no block: each holds at most three arrays of
+# the series' length at once.
 _BLOCK = 1 << 20
 
 
@@ -31,10 +34,11 @@ class HampelConfig:
     half_window: int = 100  # window is 2*half_window + 1 samples
 
     def __post_init__(self):
-        if self.n_sigmas <= 0:
-            raise ValueError("n_sigmas must be positive")
-        if self.half_window < 1:
-            raise ValueError("half_window must be >= 1")
+        # written so that NaN fails them
+        if not self.n_sigmas > 0:
+            raise ValueError(f"n_sigmas must be positive, not {self.n_sigmas!r}")
+        if not self.half_window >= 1:
+            raise ValueError(f"half_window must be >= 1, not {self.half_window!r}")
 
 
 def _middle(lo: np.ndarray, hi: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -147,6 +151,38 @@ def _shrunken_edges(x: np.ndarray, starts: np.ndarray, length: int,
     return edges[:len(starts)], edges[len(starts):, ::-1]
 
 
+def _cumsum0(x, dtype=np.float64) -> np.ndarray:
+    """np.cumsum(x) behind a leading zero, written into one fresh array."""
+    c = np.empty(len(x) + 1, dtype)
+    c[0] = 0
+    np.cumsum(x, out=c[1:])
+    return c
+
+
+def _uncertified(s: np.ndarray, cfg: HampelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Starts in s of the full windows whose centre the screen cannot keep,
+    and whether each of those windows is free of NaN.
+
+    The rank filters see non-finite values as 0 (they mis-order NaN), so
+    every window holding one is uncertified; NaN and non-finite windows are
+    found by count. The rank filters' windows centred in s[k:len(s) - k]
+    never reach the reflected ends of s, so they are those of any longer
+    series s is a slice of.
+    """
+    k = cfg.half_window
+    win = 2 * k + 1
+    finite = np.isfinite(s)
+    zeroed = np.where(finite, s, 0.0)
+    a, b = _screen_ranks(k)
+    y_a, med, y_b = (rank_filter(zeroed, r, size=win)[k:len(s) - k] for r in (a, k, b))
+    del zeroed
+    bad_count = _cumsum0(~finite, np.intp)
+    j = np.flatnonzero((bad_count[win:] > bad_count[:-win])
+                       | ~_kept(s[k:len(s) - k], med, y_a, y_b, cfg))
+    nan_count = _cumsum0(np.isnan(s), np.intp)
+    return j, nan_count[j + win] == nan_count[j]
+
+
 def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
     """Median/MAD outlier rejection over a sliding window.
 
@@ -179,32 +215,29 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
         raise ValueError(f"series of {n} samples is shorter than the {win}-sample window")
     out = x.copy()
 
-    # Interior: full windows. Uncertified windows go to the exact path in
-    # chunks of rows to bound the memory. The window is odd, so the median
-    # and the MAD are element k of a partition; NaN windows are found by
-    # count.
-    finite = np.isfinite(x)
-    zeroed = np.where(finite, x, 0.0)
-    a, b = _screen_ranks(k)
-    y_a, med, y_b = (rank_filter(zeroed, r, size=win)[k:n - k] for r in (a, k, b))
-    nan_count = np.concatenate([[0], np.cumsum(np.isnan(x))])
-    bad_count = np.concatenate([[0], np.cumsum(~finite)])
-    window_nans = nan_count[win:] - nan_count[:-win]
+    # Interior: full windows, screened in spans of centres. A span's screen
+    # holds fewer than 16 span-length float64 arrays at once, so they fit in
+    # one _BLOCK; four windows at least keep a small _BLOCK from calling the
+    # rank filters once per sample. Uncertified windows go to the exact path
+    # in chunks of rows to bound the memory. The window is odd, so the
+    # median and the MAD are element k of a partition.
     windows = np.lib.stride_tricks.sliding_window_view(x, win)
+    span = max(_BLOCK // 16, 4 * win)
     step = max(1, _BLOCK // win)
     with np.errstate(invalid="ignore", over="ignore"):
-        exact = np.flatnonzero((bad_count[win:] > bad_count[:-win])
-                               | ~_kept(x[k:n - k], med, y_a, y_b, cfg))
-        for lo in range(0, len(exact), step):
-            j = exact[lo:lo + step]  # window starts; centres are j + k
-            part = windows[j]
-            part.partition(k, axis=1)
-            med = part[:, k] + 0.0  # a fresh copy; -0.0 -> +0.0 as in np.median
-            np.subtract(part, med[:, None], out=part)
-            np.abs(part, out=part)
-            part.partition(k, axis=1)
-            mad = part[:, k]
-            out[j + k] = _decide(x[j + k], med, mad, window_nans[j] == 0, cfg)
+        for c0 in range(k, n - k, span):
+            exact, nan_free = _uncertified(x[c0 - k:min(c0 + span, n - k) + k], cfg)
+            exact += c0 - k  # window starts in x
+            for lo in range(0, len(exact), step):
+                j = exact[lo:lo + step]  # window starts; centres are j + k
+                part = windows[j]
+                part.partition(k, axis=1)
+                med = part[:, k] + 0.0  # a fresh copy; -0.0 -> +0.0 as in np.median
+                np.subtract(part, med[:, None], out=part)
+                np.abs(part, out=part)
+                part.partition(k, axis=1)
+                mad = part[:, k]
+                out[j + k] = _decide(x[j + k], med, mad, nan_free[lo:lo + step], cfg)
     left, right = _shrunken_edges(x, np.zeros(1, dtype=np.intp), n, cfg)
     out[:k], out[n - k:] = left[0], right[0]
     return out
@@ -510,26 +543,45 @@ def moving_variance(x, window: int) -> np.ndarray:
         raise ValueError("window must be >= 2")
     if n < window:
         raise ValueError("series shorter than window")
-    # Center for numerical stability; variance is shift-invariant.
+    # Center for numerical stability; variance is shift-invariant. Each
+    # input is dropped once it has been used, so at most three series-length
+    # arrays are alive at once.
     xc = x - x.mean()
-    c1 = np.concatenate([[0.0], np.cumsum(xc)])
-    c2 = np.concatenate([[0.0], np.cumsum(xc * xc)])
+    c1 = _cumsum0(xc)
+    np.multiply(xc, xc, out=xc)
+    c2 = _cumsum0(xc)
+    del xc
     s1 = c1[window:] - c1[:-window]
+    del c1
     s2 = c2[window:] - c2[:-window]
-    var = (s2 - s1 * s1 / window) / (window - 1)
-    return np.maximum(var, 0.0)
+    del c2
+    s1 *= s1
+    s1 /= window
+    s2 -= s1
+    s2 /= window - 1
+    return np.maximum(s2, 0.0, out=s2)
 
 
 def moving_average(x, window: int) -> np.ndarray:
-    """Centered moving mean with shrunken edge windows; length preserved."""
+    """Centered moving mean with shrunken edge windows; length preserved.
+
+    Whole windows come from one difference of the cumulative sum; only the
+    window - 1 edge samples (all of them when window > n) take their
+    window's bounds from index arrays.
+    """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if window < 1:
         raise ValueError("window must be >= 1")
     left = (window - 1) // 2
     right = window - 1 - left
-    c = np.concatenate([[0.0], np.cumsum(x)])
-    idx = np.arange(n)
+    c = _cumsum0(x)
+    out = np.empty(n)
+    whole = max(0, n + 1 - window)  # windows inside the series, centred at left + i
+    np.subtract(c[window:], c[:whole], out=out[left:left + whole])
+    out[left:left + whole] /= window
+    idx = np.concatenate((np.arange(min(left, n)), np.arange(left + whole, n)))
     lo = np.maximum(idx - left, 0)
     hi = np.minimum(idx + right + 1, n)
-    return (c[hi] - c[lo]) / (hi - lo)
+    out[idx] = (c[hi] - c[lo]) / (hi - lo)
+    return out

@@ -119,7 +119,8 @@ def preprocess(rss_db: np.ndarray, fs: float, cfg: SegmentationConfig) -> np.nda
     x = hampel_filter(rss_db, cfg.hampel)
     if cfg.lowpass_cutoff_hz < fs / 2:
         x = filter_forward(_lowpass(cfg.lowpass_order, cfg.lowpass_cutoff_hz, fs), x)
-    return x - moving_average(x, mean_n)
+    x -= moving_average(x, mean_n)  # x is this function's own array either way
+    return x
 
 
 def _trailing_max(v: np.ndarray, window: int) -> np.ndarray:

@@ -62,12 +62,10 @@ class HeartRateConfig:
             raise ValueError("second harmonic must fit below the bandpass upper edge")
         if self.window_s * self.f_min_hz <= 1.0:
             raise ValueError("window must span at least one pulse period")
-        if self.update_period_s <= 0:
-            raise ValueError("update_period must be positive")
-        if self.nfft_target_resolution_bpm <= 0:
-            raise ValueError("nfft_target_resolution_bpm must be positive")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        # written so that NaN fails them
+        for name in ("update_period_s", "nfft_target_resolution_bpm", "sample_rate_hz"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"{name} must be positive, not {value!r}")
         # the checks butterworth_bandpass makes, and a passband that holds
         # the whole heart-rate band
         if self.bandpass_order not in (2, 4, 6, 8):
@@ -78,8 +76,9 @@ class HeartRateConfig:
         if not self.bandpass_high_hz < self.sample_rate_hz / 2.0:
             raise ValueError(f"bandpass_high_hz {self.bandpass_high_hz!r} is not below "
                              f"half of sample_rate_hz {self.sample_rate_hz!r}")
-        if self.psd_threshold is not None and self.psd_threshold <= 0:
-            raise ValueError("psd_threshold must be positive when set")
+        if self.psd_threshold is not None and not self.psd_threshold > 0:
+            raise ValueError(f"psd_threshold must be positive when set, not "
+                             f"{self.psd_threshold!r}")
         # window_samples and nfft round these to array sizes; an infinite or
         # huge one would overflow there, after the config was accepted.
         for what, count in (

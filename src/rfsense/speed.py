@@ -38,16 +38,15 @@ class SpeedConfig:
     hampel: HampelConfig = field(default_factory=HampelConfig)
 
     def __post_init__(self):
-        if self.window_s <= 0 or self.hop_s <= 0:
-            raise ValueError("window and hop must be positive")
-        if self.smoothing_window < 1:
+        # written so that NaN fails them
+        for name in ("window_s", "hop_s", "search_interval_s"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"{name} must be positive, not {value!r}")
+        if not self.smoothing_window >= 1:
             raise ValueError("smoothing_window must be >= 1")
-        if self.crossing_threshold_hz is not None and self.crossing_threshold_hz <= 0:
-            raise ValueError("crossing_threshold_hz must be positive when set")
-        if self.alpha_m is not None and self.alpha_m <= 0:
-            raise ValueError("alpha_m must be positive when set")
-        if self.search_interval_s <= 0:
-            raise ValueError("search_interval_s must be positive")
+        for name in ("crossing_threshold_hz", "alpha_m"):
+            if (value := getattr(self, name)) is not None and not value > 0:
+                raise ValueError(f"{name} must be positive when set, not {value!r}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rfsense import dsp
+from rfsense import dsp, gesture
 from rfsense.dsp import (
     HampelConfig,
     IirFilter,
@@ -28,6 +28,7 @@ from rfsense.dsp import (
     sos_response,
     spectrogram,
 )
+from rfsense.sim import NoiseModel, VitalSignsProfile, simulate_vitals
 
 MAD_SCALE = 1.4826
 
@@ -69,6 +70,18 @@ class TestHampel:
         # med=5, mad=2 -> threshold 8.9; only the 100 is beyond it
         assert out[3] == 5.0
         assert np.array_equal(out[[0, 1, 2, 4, 5, 6]], x[[0, 1, 2, 4, 5, 6]])
+
+    @pytest.mark.parametrize("fields, what", [
+        ({"n_sigmas": np.nan}, "n_sigmas must be positive, not nan"),
+        ({"n_sigmas": 0.0}, "n_sigmas must be positive, not 0.0"),
+        ({"n_sigmas": -3.0}, "n_sigmas must be positive, not -3.0"),
+        ({"half_window": np.nan}, "half_window must be >= 1, not nan"),
+        ({"half_window": 0}, "half_window must be >= 1, not 0"),
+    ])
+    def test_config_refuses_nan_and_non_positive_values(self, fields, what):
+        # n_sigmas=nan used to pass `n_sigmas <= 0` and keep every outlier
+        with pytest.raises(ValueError, match=what):
+            HampelConfig(**fields)
 
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):
@@ -198,11 +211,11 @@ class TestHampel:
     @pytest.mark.parametrize("block", [None, 7])
     @given(
         k=st.integers(1, 25),
-        extra=st.integers(0, 250),
+        extra=st.integers(0, 650),
         seed=st.integers(0, 2**32 - 1),
         step=st.sampled_from([0.1, 1.0]),
         n_sigmas=st.sampled_from([0.5, 3.0]),
-        special=st.lists(st.tuples(st.integers(0, 299), st.booleans(),
+        special=st.lists(st.tuples(st.integers(0, 699), st.booleans(),
                                    st.sampled_from([np.nan, np.inf, -np.inf, -0.0])),
                          max_size=6),
     )
@@ -214,7 +227,9 @@ class TestHampel:
         # give certified samples, uncertified ones and zero-MAD windows in
         # both the interior and the shrunken edges. Special values land
         # anywhere or, with the flag set, within k of the right end. block=7
-        # splits the uncertified windows into blocks of one to three rows.
+        # splits the uncertified windows into blocks of one to three rows and
+        # the interior into spans of four windows: up to 55 spans at k=1 and
+        # 4 at k=25.
         if block is not None:
             monkeypatch.setattr(dsp, "_BLOCK", block)
         n = 2 * k + 1 + extra
@@ -228,21 +243,69 @@ class TestHampel:
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_near_a_span_boundary(self, monkeypatch, value):
+        # block=7 cuts the interior into spans of 4 * 11 = 44 centres, so the
+        # centres 5 + 44 m start a span. A non-finite sample up to k + 1 on
+        # either side of a boundary lies in the windows of both spans.
+        monkeypatch.setattr(dsp, "_BLOCK", 7)
+        spans = []
+        uncertified = dsp._uncertified
+        monkeypatch.setattr(dsp, "_uncertified",
+                            lambda s, cfg: spans.append(len(s)) or uncertified(s, cfg))
+        k, n = 5, 150
+        cfg = HampelConfig(half_window=k)
+        x = np.round(np.random.default_rng(8).standard_t(2, n) / 0.1) * 0.1
+        for boundary in (49, 93, 137):
+            for pos in range(boundary - k - 1, min(boundary + k + 2, n)):
+                y = x.copy()
+                y[pos] = value
+                with np.errstate(invalid="ignore"):
+                    want = naive_hampel(y, cfg)
+                assert hampel_filter(y, cfg).tobytes() == want.tobytes()
+        assert spans[:4] == [54, 54, 54, 18]
+
+    def test_peak_memory_of_a_long_series_is_bounded(self):
+        """600 s at 449 Hz, gesture-free: the output is 2.1 MiB, and the
+        interior screen works in spans of 65,536 centres, not on 11 arrays
+        of the whole series (23.4 MiB)."""
+        x = simulate_vitals(VitalSignsProfile(breathing_amplitude_db=0.0,
+                                              pulse_amplitude_db=0.0),
+                            NoiseModel(seed=3), 600.0).rss_db
+        assert len(x) == 269_400
+        tracemalloc.start()
+        try:
+            hampel_filter(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2 ** 20
+
 
 class TestInputsStayTheCallers:
-    """The spectral kernels taper their own copy in place: a read-only input
-    gives the same bits as a writable one, and a writable one is left as it
-    was."""
+    """The spectral kernels taper their own copy in place, and the moving
+    statistics and preprocess work in place on arrays they made: a
+    read-only input gives the same bits as a writable one, and a writable
+    one is left as it was. block=1 cuts the Hampel interior into spans of
+    four windows: 9 at half_window=20, 2 at the default 100."""
 
-    @pytest.mark.parametrize("kernel", [
-        lambda x: periodogram(x, 100.0).power,
-        lambda x: periodogram(x, 100.0, nfft=4096).power,
-        lambda x: spectrogram(x, 100.0, window_s=2.0, hop_s=0.5).power,
-        lambda x: spectrogram(x, 100.0, window_s=2.0, hop_s=0.5, nfft=1024).power,
-        lambda x: hampel_filter(x, HampelConfig(half_window=20)),
+    @pytest.mark.parametrize("kernel, block", [
+        (lambda x: periodogram(x, 100.0).power, None),
+        (lambda x: periodogram(x, 100.0, nfft=4096).power, None),
+        (lambda x: spectrogram(x, 100.0, window_s=2.0, hop_s=0.5).power, None),
+        (lambda x: spectrogram(x, 100.0, window_s=2.0, hop_s=0.5, nfft=1024).power, None),
+        (lambda x: hampel_filter(x, HampelConfig(half_window=20)), None),
+        (lambda x: hampel_filter(x, HampelConfig(half_window=20)), 1),
+        (lambda x: moving_average(x, 45), None),
+        (lambda x: moving_average(x, 4), None),
+        (lambda x: moving_variance(x, 45), None),
+        (lambda x: gesture.preprocess(x, 449.0, gesture.SegmentationConfig()), 1),
     ], ids=["periodogram", "periodogram_nfft", "spectrogram", "spectrogram_nfft",
-            "hampel_filter"])
-    def test_read_only_input_gives_the_same_bits(self, kernel):
+            "hampel_filter", "hampel_filter_spans", "moving_average_odd",
+            "moving_average_even", "moving_variance", "preprocess_spans"])
+    def test_read_only_input_gives_the_same_bits(self, monkeypatch, kernel, block):
+        if block is not None:
+            monkeypatch.setattr(dsp, "_BLOCK", block)
         x = np.random.default_rng(13).normal(-50.0, 3.0, 1500)
         x[::97] += 20.0
         frozen = x.copy()
@@ -464,7 +527,45 @@ class TestSpectrogram:
 # ---------------------------------------------------------------------------
 
 
+def oracle_moving_variance(x, window):
+    """The one-shot formula: both cumulative sums concatenated behind a zero."""
+    xc = x - x.mean()
+    c1 = np.concatenate([[0.0], np.cumsum(xc)])
+    c2 = np.concatenate([[0.0], np.cumsum(xc * xc)])
+    s1 = c1[window:] - c1[:-window]
+    s2 = c2[window:] - c2[:-window]
+    return np.maximum((s2 - s1 * s1 / window) / (window - 1), 0.0)
+
+
+def oracle_moving_average(x, window):
+    """The one-shot formula: every sample's window bounds as index arrays."""
+    n = len(x)
+    left = (window - 1) // 2
+    right = window - 1 - left
+    c = np.concatenate([[0.0], np.cumsum(x)])
+    idx = np.arange(n)
+    lo = np.maximum(idx - left, 0)
+    hi = np.minimum(idx + right + 1, n)
+    return (c[hi] - c[lo]) / (hi - lo)
+
+
 class TestMovingStats:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 449, 1000])
+    def test_equal_to_the_one_shot_formulas(self, n):
+        # windows 1 and 2, odd and even, window == n and window > n (every
+        # sample an edge); a NaN and +-inf in one of the series
+        rng = np.random.default_rng(n)
+        series = [rng.normal(-50.0, 3.0, n), np.round(rng.standard_t(2, n) / 0.1) * 0.1]
+        series[1][rng.integers(0, n, 3)] = [np.nan, np.inf, -np.inf]
+        for x in series:
+            for w in sorted({1, 2, 3, 4, 45, 100, n, n + 1, n + 7}):
+                with np.errstate(invalid="ignore"):
+                    got = moving_average(x, w)
+                    assert got.tobytes() == oracle_moving_average(x, w).tobytes(), w
+                    if 2 <= w <= n:
+                        got = moving_variance(x, w)
+                        assert got.tobytes() == oracle_moving_variance(x, w).tobytes(), w
+
     def test_moving_variance_oracle(self):
         out = moving_variance(np.array([0.0, 0, 4, 4]), 2)
         np.testing.assert_array_equal(out, [0.0, 8.0, 0.0])

@@ -34,7 +34,14 @@ from rfsense.gesture import (
     segment,
     train,
 )
-from rfsense.sim import DEFAULT_TEMPLATES, NoiseModel, simulate_gesture
+from rfsense.evaluate import CORPUS_SEGMENTATION
+from rfsense.sim import (
+    DEFAULT_TEMPLATES,
+    NoiseModel,
+    VitalSignsProfile,
+    simulate_gesture,
+    simulate_vitals,
+)
 from rfsense.trace import make_trace
 
 FS = 449.0
@@ -161,6 +168,24 @@ class TestSegmentation:
         # a one-sample mean left at most 7e-15 of a 2 dB burst
         assert np.max(np.abs(preprocess(x, FS, cfg))) > 0.1
         assert isinstance(segment(make_trace(x, FS), cfg), list)
+
+    def test_peak_memory_of_a_long_trace_is_bounded(self):
+        """600 s of a gesture-free scene: each stage holds a few arrays of
+        the series (2.1 MiB each) and the Hampel screen one span, not the
+        23.4 MiB of a screen over the whole series."""
+        trace = simulate_vitals(VitalSignsProfile(breathing_amplitude_db=0.0,
+                                                  pulse_amplitude_db=0.0),
+                                NoiseModel(seed=3), 600.0)
+        assert len(trace) == 269_400
+        cfg = SegmentationConfig(**CORPUS_SEGMENTATION)
+        tracemalloc.start()
+        try:
+            segs = segment(trace, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert segs == []
+        assert peak < 10 * 2 ** 20
 
 
 class TestFeatures:

@@ -80,6 +80,22 @@ class TestConfig:
             HeartRateConfig(psd_threshold=0.0)
 
     @pytest.mark.parametrize("fields, what", [
+        ({"psd_threshold": float("nan")}, "psd_threshold must be positive when set, not nan"),
+        ({"psd_threshold": -1.0}, "psd_threshold must be positive when set, not -1.0"),
+        ({"update_period_s": float("nan")}, "update_period_s must be positive, not nan"),
+        ({"update_period_s": 0.0}, "update_period_s must be positive, not 0.0"),
+        ({"nfft_target_resolution_bpm": float("nan")},
+         "nfft_target_resolution_bpm must be positive, not nan"),
+        ({"sample_rate_hz": float("nan")}, "sample_rate_hz must be positive, not nan"),
+        ({"sample_rate_hz": -449.0}, "sample_rate_hz must be positive, not -449.0"),
+    ])
+    def test_nan_and_non_positive_values_rejected(self, fields, what):
+        """A NaN psd_threshold used to pass `<= 0`, so the stream never
+        suppressed; each check is now written so that NaN fails it."""
+        with pytest.raises(ValueError, match=what):
+            HeartRateConfig(**fields)
+
+    @pytest.mark.parametrize("fields, what", [
         ({"window_s": 1e308}, "window_s \\* sample_rate_hz is inf"),
         ({"window_s": float("nan")}, "window_s \\* sample_rate_hz is nan"),
         ({"window_s": 1e17}, "window_s \\* sample_rate_hz is 4.49e\\+19"),

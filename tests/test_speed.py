@@ -80,6 +80,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SpeedConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["window_s", "hop_s", "search_interval_s",
+                                      "crossing_threshold_hz", "alpha_m"])
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+    def test_nan_and_non_positive_values_name_the_field(self, name, value):
+        # a NaN crossing_threshold_hz used to pass `<= 0`, and no crossing
+        # was ever found below it
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            SpeedConfig(**{name: value})
+
     def test_event_rejects_negative_frequency(self):
         with pytest.raises(ValueError):
             CrossingEvent(1.0, -0.5, 1.0)
