@@ -1,6 +1,6 @@
 """Signal-processing kernels shared by the sensing pipelines.
 
-Everything here operates on bare float64 series; callers pull series and
+Everything here operates on finite float64 series; callers pull series and
 sample rates out of traces. Filtering is strictly causal (direct-form-II
 transposed, zero initial state) because the downstream estimators are meant
 to run on live streams; there is deliberately no zero-phase (forward-backward)
@@ -84,18 +84,15 @@ def _left_edge_hampel(heads: np.ndarray, cfg: HampelConfig) -> np.ndarray:
     heads has 2k columns. All k windows of a row are prefixes of it, so one
     stable sort of each row lists each window's sorted entries: those whose
     index lies inside it. That gives each window's exact median and the MAD
-    bound of _kept. The sort orders +-inf exactly, and a window holding a
-    NaN keeps its sample whichever way the bound decides, so unlike the
-    interior no window needs routing by its values. Windows the bound cannot
-    certify get their MAD from a row-wise sort of their deviations, each row
-    padded with +inf beyond its window. The windows of all rows, taken in
-    row-major order, go in blocks to bound the memory.
+    bound of _kept. Windows the bound cannot certify get their MAD from a
+    row-wise sort of their deviations, each row padded with +inf beyond its
+    window. The windows of all rows, taken in row-major order, go in blocks
+    to bound the memory.
     """
     k = cfg.half_window
     # the narrowest integer type holding the indices keeps the masks cheap
     order = np.argsort(heads, axis=1, kind="stable").astype(np.min_scalar_type(2 * k))
     ordered = np.take_along_axis(heads, order, axis=1)
-    nan_count = np.cumsum(np.isnan(heads), axis=1)
     out = heads[:, :k].copy()
     step = max(1, _BLOCK // (2 * k))
     for lo in range(0, out.size, step):
@@ -117,20 +114,14 @@ def _left_edge_hampel(heads: np.ndarray, cfg: HampelConfig) -> np.ndarray:
         dev.sort(axis=1)
         j = np.arange(len(r))
         mad = _middle(dev[j, (m - 1) // 2], dev[j, m // 2], m)
-        out[r, i] = _decide(out[r, i], med, mad, nan_count[r, m - 1] == 0, cfg)
+        out[r, i] = _decide(out[r, i], med, mad, cfg)
     return out
 
 
-def _decide(xc: np.ndarray, med: np.ndarray, mad: np.ndarray, nan_free: np.ndarray,
+def _decide(xc: np.ndarray, med: np.ndarray, mad: np.ndarray,
             cfg: HampelConfig) -> np.ndarray:
-    """Hampel decision for centre samples xc against their window median/MAD.
-
-    Windows holding a NaN have a NaN median under np.median and so replace
-    nothing; sorting and partitioning push NaN to the end instead, hence the
-    explicit `nan_free` mask. An infinite median needs no mask: every
-    deviation from it is inf or NaN, so the test reads inf > inf or NaN.
-    """
-    bad = nan_free & (np.abs(xc - med) > cfg.n_sigmas * MAD_SCALE * mad)
+    """Hampel decision for centre samples xc against their window median/MAD."""
+    bad = np.abs(xc - med) > cfg.n_sigmas * MAD_SCALE * mad
     return np.where(bad, med, xc)
 
 
@@ -146,41 +137,38 @@ def _shrunken_edges(x: np.ndarray, starts: np.ndarray, length: int,
     k = cfg.half_window
     heads = np.lib.stride_tricks.sliding_window_view(x, 2 * k)
     both = np.concatenate((heads[starts], heads[starts + length - 2 * k, ::-1]))
-    with np.errstate(invalid="ignore", over="ignore"):
-        edges = _left_edge_hampel(both, cfg)
+    edges = _left_edge_hampel(both, cfg)
     return edges[:len(starts)], edges[len(starts):, ::-1]
 
 
-def _cumsum0(x, dtype=np.float64) -> np.ndarray:
+def _cumsum0(x) -> np.ndarray:
     """np.cumsum(x) behind a leading zero, written into one fresh array."""
-    c = np.empty(len(x) + 1, dtype)
+    c = np.empty(len(x) + 1)
     c[0] = 0
     np.cumsum(x, out=c[1:])
     return c
 
 
-def _uncertified(s: np.ndarray, cfg: HampelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Starts in s of the full windows whose centre the screen cannot keep,
-    and whether each of those windows is free of NaN.
+def _uncertified(s: np.ndarray, cfg: HampelConfig) -> np.ndarray:
+    """Starts in s of the full windows whose centre the screen cannot keep.
 
-    The rank filters see non-finite values as 0 (they mis-order NaN), so
-    every window holding one is uncertified; NaN and non-finite windows are
-    found by count. The rank filters' windows centred in s[k:len(s) - k]
-    never reach the reflected ends of s, so they are those of any longer
-    series s is a slice of.
+    The rank filters' windows centred in s[k:len(s) - k] never reach the
+    reflected ends of s, so they are those of any longer series s is a
+    slice of.
     """
     k = cfg.half_window
-    win = 2 * k + 1
-    finite = np.isfinite(s)
-    zeroed = np.where(finite, s, 0.0)
     a, b = _screen_ranks(k)
-    y_a, med, y_b = (rank_filter(zeroed, r, size=win)[k:len(s) - k] for r in (a, k, b))
-    del zeroed
-    bad_count = _cumsum0(~finite, np.intp)
-    j = np.flatnonzero((bad_count[win:] > bad_count[:-win])
-                       | ~_kept(s[k:len(s) - k], med, y_a, y_b, cfg))
-    nan_count = _cumsum0(np.isnan(s), np.intp)
-    return j, nan_count[j + win] == nan_count[j]
+    y_a, med, y_b = (rank_filter(s, r, size=2 * k + 1)[k:len(s) - k] for r in (a, k, b))
+    return np.flatnonzero(~_kept(s[k:len(s) - k], med, y_a, y_b, cfg))
+
+
+def _require_finite(x: np.ndarray, what: str) -> None:
+    """Raise ValueError naming how many samples of x are NaN or +-inf and
+    where the first is."""
+    bad = np.flatnonzero(~np.isfinite(x))
+    if len(bad):
+        raise ValueError(f"{what} holds {len(bad)} non-finite (NaN/+-inf) "
+                         f"sample(s); the first is at index {bad[0]}")
 
 
 def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
@@ -191,23 +179,17 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
     within the window. With MAD == 0 any deviation from the median is
     replaced. Windows shrink one-sidedly at the edges. Replacement is
     non-recursive: every decision is made against the original samples.
-
-    Non-finite samples follow np.median's semantics: a NaN sample passes
-    through unchanged, and a window that holds a NaN or whose median is
-    +-inf replaces nothing. An infinite sample in a window with a finite
-    median and MAD is an outlier like any other and is replaced. Only bare
-    arrays reach these cases: RssTrace rejects non-finite samples.
+    A NaN or +-inf sample raises ValueError, as it does in RssTrace.
 
     The output equals that of computing every window's median and MAD, but
     most samples skip the MAD. Rank filters give each window's median and
     two order statistics y[a] <= med <= y[b] around it, and
     LB = min(med - y[a], y[b] - med) is a lower bound on the MAD (see
     _screen_ranks). A sample with |x[i] - med| <= n_sigmas * 1.4826 * LB is
-    kept without its MAD. The rest take the exact median/MAD path, and so
-    does every full window holding a non-finite value, because the rank
-    filters see those values as 0 (they mis-order NaN).
+    kept without its MAD. The rest take the exact median/MAD path.
     """
     x = np.asarray(x, dtype=np.float64)
+    _require_finite(x, "series")
     k = cfg.half_window
     win = 2 * k + 1
     n = len(x)
@@ -224,20 +206,19 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(x, win)
     span = max(_BLOCK // 16, 4 * win)
     step = max(1, _BLOCK // win)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for c0 in range(k, n - k, span):
-            exact, nan_free = _uncertified(x[c0 - k:min(c0 + span, n - k) + k], cfg)
-            exact += c0 - k  # window starts in x
-            for lo in range(0, len(exact), step):
-                j = exact[lo:lo + step]  # window starts; centres are j + k
-                part = windows[j]
-                part.partition(k, axis=1)
-                med = part[:, k] + 0.0  # a fresh copy; -0.0 -> +0.0 as in np.median
-                np.subtract(part, med[:, None], out=part)
-                np.abs(part, out=part)
-                part.partition(k, axis=1)
-                mad = part[:, k]
-                out[j + k] = _decide(x[j + k], med, mad, nan_free[lo:lo + step], cfg)
+    for c0 in range(k, n - k, span):
+        exact = _uncertified(x[c0 - k:min(c0 + span, n - k) + k], cfg)
+        exact += c0 - k  # window starts in x
+        for lo in range(0, len(exact), step):
+            j = exact[lo:lo + step]  # window starts; centres are j + k
+            part = windows[j]
+            part.partition(k, axis=1)
+            med = part[:, k] + 0.0  # a fresh copy; -0.0 -> +0.0 as in np.median
+            np.subtract(part, med[:, None], out=part)
+            np.abs(part, out=part)
+            part.partition(k, axis=1)
+            mad = part[:, k]
+            out[j + k] = _decide(x[j + k], med, mad, cfg)
     left, right = _shrunken_edges(x, np.zeros(1, dtype=np.intp), n, cfg)
     out[:k], out[n - k:] = left[0], right[0]
     return out
@@ -252,7 +233,8 @@ def hampel_refresh_edges(x: np.ndarray, full: np.ndarray, starts, length: int,
     only the first/last half_window samples of each slice need recomputing
     with shrunken windows, all slices in one pass. Row j equals
     hampel_filter(x[starts[j]:starts[j] + length], cfg), cheaper when slices
-    overlap heavily.
+    overlap heavily. x needs no finiteness check here: computing `full`
+    has already refused a non-finite x.
     """
     k = cfg.half_window
     starts = np.asarray(starts, dtype=np.intp)

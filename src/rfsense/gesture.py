@@ -124,18 +124,28 @@ def preprocess(rss_db: np.ndarray, fs: float, cfg: SegmentationConfig) -> np.nda
 
 
 def _trailing_max(v: np.ndarray, window: int) -> np.ndarray:
-    """t[j] = max(v[max(0, j-window+1) .. j]); prefix uses the expanding max."""
+    """t[j] = max(v[max(0, j-window+1) .. j]). "nearest" pads with v[0],
+    which every prefix window holds, so the prefix gets the expanding max."""
     window = min(window, len(v))
-    origin = window - 1 - window // 2
-    t = maximum_filter1d(v, size=window, mode="nearest", origin=origin)
-    if window > 1:
-        t[: window - 1] = np.maximum.accumulate(v[: window - 1])
-    return t
+    return maximum_filter1d(v, size=window, mode="nearest", origin=window - 1 - window // 2)
+
+
+def _apart(s0: np.ndarray, s1: np.ndarray, gap: int) -> np.ndarray:
+    """True at the first interval [s0, s1] and at each one that starts gap
+    or more samples clear of the end of the one before it."""
+    new = np.ones(len(s0), dtype=bool)
+    new[1:] = s0[1:] - s1[:-1] > gap
+    return new
 
 
 def segment(trace: RssTrace, cfg: SegmentationConfig = SegmentationConfig()
             ) -> list[GestureSegment]:
-    """Variance-burst detection; returns segments ordered by start time."""
+    """Variance-burst detection; returns segments ordered by start time.
+
+    The candidates are sample intervals [s0[i], s1[i]], and each stage keeps
+    a subset of them: runs, merge, minimum duration, prominence, phantom
+    groups, then trim.
+    """
     fs = trace.metadata.sample_rate_hz
     mean_n = _mean_samples(cfg, fs)
     n = len(trace)
@@ -155,55 +165,42 @@ def segment(trace: RssTrace, cfg: SegmentationConfig = SegmentationConfig()
     active = np.zeros(len(v), dtype=bool)
     active[jmin:] = v[jmin:] > cfg.threshold * hist[jmin - guard_n: len(v) - guard_n]
 
-    bounds = np.flatnonzero(np.diff(np.concatenate([[False], active, [False]])))
-    runs = [(int(bounds[i]), int(bounds[i + 1]) - 1) for i in range(0, len(bounds), 2)]
-    # sample-space intervals: window start of first hit .. window end of last
-    spans = [(j0, j1 + w - 1) for j0, j1 in runs]
+    # runs of active windows as sample-space intervals: window start of the
+    # first hit .. window end of the last
+    edges = np.flatnonzero(np.diff(active, prepend=False, append=False))
+    s0, s1 = edges[::2], edges[1::2] + w - 2
 
-    merge_n = int(round(cfg.merge_gap_s * fs))
-    merged: list[list[int]] = []
-    for s0, s1 in spans:
-        if merged and s0 - merged[-1][1] - 1 < merge_n:
-            merged[-1][1] = max(merged[-1][1], s1)
-        else:
-            merged.append([s0, s1])
+    # merge runs less than merge_gap_s apart; new[0] is True, so rolled back
+    # by one it marks the last run of each merged group
+    new = _apart(s0, s1, int(round(cfg.merge_gap_s * fs)))
+    s0, s1 = s0[new], s1[np.roll(new, -1)]
 
-    min_n = int(round(cfg.min_duration_s * fs))
-    kept = [(s0, s1) for s0, s1 in merged if s1 - s0 + 1 >= min_n]
+    keep = s1 - s0 + 1 >= int(round(cfg.min_duration_s * fs))
+    s0, s1 = s0[keep], s1[keep]
+    peak = np.array([v[a: b - w + 2].max() for a, b in zip(s0, s1)])
 
     # Stationary noise sets fresh variance records against any finite trailing
     # window sooner or later (measured: a few marginal, ~1.1x records per ten
     # minutes), so a bare ratio test cannot stay silent on gesture-free input.
     # Demand that a run's peak clears its onset-time history by a real margin;
     # genuine gestures exceed it by three to four orders of magnitude.
-    kept = [(s0, s1) for s0, s1 in kept
-            if v[s0: s1 - w + 2].max()
-            > cfg.min_prominence * hist[s0 - guard_n]]
+    keep = peak > cfg.min_prominence * hist[s0 - guard_n]
+    s0, s1, peak = s0[keep], s1[keep], peak[keep]
 
     # The centered local mean tracks a strong burst and leaks variance up to
     # mean_window/2 past its true extent. That leak can detach into phantom
     # runs flanking the burst and it pads the genuine run's boundaries, so
     # (a) drop runs that sit within one mean window of a far stronger one and
     # (b) shrink each survivor to where variance clears a fraction of its peak.
-    if kept:
-        peaks = [float(v[s0: s1 - w + 2].max()) for s0, s1 in kept]
-        groups: list[list[int]] = [[0]]
-        for i in range(1, len(kept)):
-            if kept[i][0] - kept[i - 1][1] - 1 < mean_n:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        survivors = []
-        for grp in groups:
-            top = max(peaks[i] for i in grp)
-            survivors.extend(i for i in grp if peaks[i] >= cfg.trim_fraction * top)
-        trimmed = []
-        for i in survivors:
-            j0, j1 = kept[i][0], kept[i][1] - w + 1
-            vr = v[j0: j1 + 1]
-            hit = np.flatnonzero(vr >= cfg.trim_fraction * vr.max())
-            trimmed.append((j0 + int(hit[0]), j0 + int(hit[-1]) + w - 1))
-        kept = trimmed
+    if len(s0):  # np.maximum.reduceat refuses an empty array
+        new = _apart(s0, s1, mean_n)
+        top = np.maximum.reduceat(peak, np.flatnonzero(new))[np.cumsum(new) - 1]
+        keep = peak >= cfg.trim_fraction * top
+        s0, s1, peak = s0[keep], s1[keep], peak[keep]
+    kept = []
+    for a, b, p in zip(s0, s1, peak):
+        hit = np.flatnonzero(v[a: b - w + 2] >= cfg.trim_fraction * p)
+        kept.append((a + hit[0], a + hit[-1] + w - 1))
 
     trace_id = trace.metadata.extras.get("trace_id", "")
     return [GestureSegment(

@@ -23,6 +23,7 @@ sampled per trace from the generator seed.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -41,6 +42,22 @@ IMPULSE_MAX_LEN = 2
 HR_BAND = (50.4, 100.2)
 
 
+def _require(need: str, ok, **values) -> None:
+    """Raise ValueError naming the first of `values` that is NaN, +-inf or
+    fails `ok`, so that no simulator input turns NaN into a trace."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and ok(value)):
+            raise ValueError(f"{name} must be {need}, not {value!r}")
+
+
+def _positive(**values) -> None:
+    _require("finite and positive", lambda v: v > 0, **values)
+
+
+def _non_negative(**values) -> None:
+    _require("finite and >= 0", lambda v: v >= 0, **values)
+
+
 @dataclass(frozen=True)
 class LinkGeometry:
     tx: tuple = (0.0, 0.0)
@@ -50,10 +67,9 @@ class LinkGeometry:
     def __post_init__(self):
         if len(self.tx) != 2 or len(self.rx) != 2:
             raise ValueError("tx and rx must be (x, y) points")
-        if self.wavelength_m <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.d <= 0:
-            raise ValueError("tx and rx must be distinct")
+        _positive(wavelength_m=self.wavelength_m)
+        if not 0.0 < self.d < math.inf:
+            raise ValueError("tx and rx must be distinct finite points")
 
     @property
     def d(self) -> float:
@@ -67,8 +83,8 @@ class BodyModel:
     scatter_amp: float = 0.1        # relative to LOS at a mid-link crossing
 
     def __post_init__(self):
-        if self.radius_m <= 0 or self.half_length_m < 0 or self.scatter_amp < 0:
-            raise ValueError("body dimensions must be positive")
+        _positive(radius_m=self.radius_m)
+        _non_negative(half_length_m=self.half_length_m, scatter_amp=self.scatter_amp)
 
 
 @dataclass(frozen=True)
@@ -84,8 +100,9 @@ class WalkPath:
             raise ValueError("path angle must lie in (0, 90] degrees")
         if not 0.1 <= self.speed_mps <= 3.0:
             raise ValueError("speed must lie in [0.1, 3.0] m/s")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        _positive(duration_s=self.duration_s)
+        _require("finite", lambda v: True, crossing_m=self.crossing_m,
+                 start_offset_m=self.start_offset_m)
 
 
 @dataclass(frozen=True)
@@ -107,9 +124,10 @@ class VitalSignsProfile:
             raise ValueError(f"heart rate outside the {HR_BAND} bpm resting band")
         if any(t1 <= t0 for (t0, _), (t1, _) in zip(pts, pts[1:])):
             raise ValueError("heart-rate breakpoints must increase in time")
-        if (self.pulse_amplitude_db < 0 or self.breathing_amplitude_db < 0
-                or self.pulse_width_s <= 0 or self.breathing_rate_bpm <= 0):
-            raise ValueError("profile amplitudes must be >= 0, widths positive")
+        _positive(breathing_rate_bpm=self.breathing_rate_bpm,
+                  pulse_width_s=self.pulse_width_s)
+        _non_negative(breathing_amplitude_db=self.breathing_amplitude_db,
+                      pulse_amplitude_db=self.pulse_amplitude_db)
 
     def heart_rate_points(self) -> list:
         hr = self.heart_rate_bpm
@@ -131,8 +149,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gaussian_sigma_db < 0 or self.impulse_scale_db < 0:
-            raise ValueError("noise amplitudes must be >= 0")
+        _non_negative(gaussian_sigma_db=self.gaussian_sigma_db,
+                      impulse_scale_db=self.impulse_scale_db)
         if not 0.0 <= self.impulse_prob <= 1.0:
             raise ValueError("impulse_prob must be a probability")
 
@@ -148,9 +166,6 @@ class NoiseModel:
         return out
 
 
-QUIET = NoiseModel(gaussian_sigma_db=0.0, impulse_prob=0.0)
-
-
 def knife_edge_gain(nu) -> np.ndarray:
     """Complex knife-edge diffraction gain F(nu).
 
@@ -163,8 +178,7 @@ def knife_edge_gain(nu) -> np.ndarray:
 
 def simulate_vitals(profile: VitalSignsProfile, noise: NoiseModel, duration_s: float,
                     fs: float = DEFAULT_SAMPLE_RATE_HZ) -> RssTrace:
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    _positive(duration_s=duration_s, fs=fs)
     # a narrower pulse falls between samples: the trace would carry no beat
     if profile.pulse_width_s < 1.0 / fs:
         raise ValueError(f"pulse_width_s {profile.pulse_width_s!r} is below one "
@@ -220,6 +234,7 @@ def _crossing_channel(geom: LinkGeometry, path: WalkPath, body: BodyModel,
 def simulate_crossing(geom: LinkGeometry, path: WalkPath, noise: NoiseModel,
                       fs: float = DEFAULT_SAMPLE_RATE_HZ,
                       body: BodyModel = BodyModel()) -> RssTrace:
+    _positive(fs=fs)
     d = geom.d
     if not 0.0 < path.crossing_m < d:
         raise ValueError("crossing point must lie strictly inside the link")
@@ -266,8 +281,11 @@ class GestureTemplate:
             raise ValueError("gesture duration must lie in [0.3, 3] s")
         if self.envelope not in ENVELOPES:
             raise ValueError(f"envelope must be one of {ENVELOPES}")
-        if self.amp_db <= 0 or self.freq_start_hz <= 0 or self.freq_end_hz <= 0:
-            raise ValueError("amplitude and frequencies must be positive")
+        _positive(amp_db=self.amp_db, freq_start_hz=self.freq_start_hz,
+                  freq_end_hz=self.freq_end_hz)
+        _require("finite and in [0, 1)", lambda v: 0 <= v < 1, amp_jitter=self.amp_jitter,
+                 duration_jitter=self.duration_jitter, freq_jitter=self.freq_jitter)
+        _require("finite", lambda v: True, dc_shift_db=self.dc_shift_db)
 
 
 DEFAULT_TEMPLATES = {
@@ -325,8 +343,8 @@ def simulate_gesture(template: GestureTemplate, noise: NoiseModel,
     The default pre-pad leaves room for the segmenter's variance history
     (long_window + guard) to fill before the gesture begins.
     """
-    if pre_pad_s < 0 or post_pad_s < 0:
-        raise ValueError("pads must be >= 0")
+    _non_negative(pre_pad_s=pre_pad_s, post_pad_s=post_pad_s)
+    _positive(fs=fs)
     rng = np.random.default_rng([seed, noise.seed])
     wave = _gesture_waveform(template, rng, fs)
     n_pre = int(round(pre_pad_s * fs))

@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsp import _require_finite
+
 DEFAULT_SAMPLE_RATE_HZ = 449.0
 DEFAULT_CENTER_FREQ_HZ = 434e6
 
@@ -140,11 +142,7 @@ class RssTrace:
             )
         if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
             raise ValueError("timestamps must be strictly increasing")
-        finite = np.isfinite(self.rss_db)
-        if not finite.all():
-            bad = np.flatnonzero(~finite)
-            raise ValueError(f"rss_db holds {len(bad)} non-finite (NaN/+-inf) "
-                             f"sample(s); the first is at index {bad[0]}")
+        _require_finite(self.rss_db, "rss_db")
         gt = self.ground_truth
         if gt.hr_bpm is not None:
             gt.hr_bpm = np.asarray(gt.hr_bpm, dtype=np.float64)

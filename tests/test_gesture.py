@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d
 
 from rfsense import classifiers as clf
-from rfsense import dsp
+from rfsense import dsp, gesture
 from rfsense.gesture import (
     GESTURE_LABELS,
     EvaluationResult,
@@ -39,6 +40,7 @@ from rfsense.sim import (
     DEFAULT_TEMPLATES,
     NoiseModel,
     VitalSignsProfile,
+    make_corpora,
     simulate_gesture,
     simulate_vitals,
 )
@@ -186,6 +188,156 @@ class TestSegmentation:
             tracemalloc.stop()
         assert segs == []
         assert peak < 10 * 2 ** 20
+
+
+def oracle_trailing_max(v, window):
+    """The trailing max as first written: a shifted maximum filter, then the
+    expanding max over the prefix."""
+    window = min(window, len(v))
+    origin = window - 1 - window // 2
+    t = maximum_filter1d(v, size=window, mode="nearest", origin=origin)
+    if window > 1:
+        t[: window - 1] = np.maximum.accumulate(v[: window - 1])
+    return t
+
+
+def oracle_segment(trace, cfg):
+    """segment as first written, one list of (start, end) pairs per stage."""
+    fs = trace.metadata.sample_rate_hz
+    mean_n = gesture._mean_samples(cfg, fs)
+    pre = preprocess(trace.rss_db, fs, cfg)
+    w = cfg.short_window
+    v = dsp.moving_variance(pre, w)
+    hist = oracle_trailing_max(v, cfg.long_window)
+    guard_n = int(round(cfg.guard_s * fs))
+    jmin = guard_n + cfg.long_window - 1
+    active = np.zeros(len(v), dtype=bool)
+    active[jmin:] = v[jmin:] > cfg.threshold * hist[jmin - guard_n: len(v) - guard_n]
+
+    bounds = np.flatnonzero(np.diff(np.concatenate([[False], active, [False]])))
+    runs = [(int(bounds[i]), int(bounds[i + 1]) - 1) for i in range(0, len(bounds), 2)]
+    spans = [(j0, j1 + w - 1) for j0, j1 in runs]
+
+    merge_n = int(round(cfg.merge_gap_s * fs))
+    merged = []
+    for s0, s1 in spans:
+        if merged and s0 - merged[-1][1] - 1 < merge_n:
+            merged[-1][1] = max(merged[-1][1], s1)
+        else:
+            merged.append([s0, s1])
+
+    min_n = int(round(cfg.min_duration_s * fs))
+    kept = [(s0, s1) for s0, s1 in merged if s1 - s0 + 1 >= min_n]
+    kept = [(s0, s1) for s0, s1 in kept
+            if v[s0: s1 - w + 2].max() > cfg.min_prominence * hist[s0 - guard_n]]
+
+    if kept:
+        peaks = [float(v[s0: s1 - w + 2].max()) for s0, s1 in kept]
+        groups = [[0]]
+        for i in range(1, len(kept)):
+            if kept[i][0] - kept[i - 1][1] - 1 < mean_n:
+                groups[-1].append(i)
+            else:
+                groups.append([i])
+        survivors = []
+        for grp in groups:
+            top = max(peaks[i] for i in grp)
+            survivors.extend(i for i in grp if peaks[i] >= cfg.trim_fraction * top)
+        trimmed = []
+        for i in survivors:
+            j0, j1 = kept[i][0], kept[i][1] - w + 1
+            vr = v[j0: j1 + 1]
+            hit = np.flatnonzero(vr >= cfg.trim_fraction * vr.max())
+            trimmed.append((j0 + int(hit[0]), j0 + int(hit[-1]) + w - 1))
+        kept = trimmed
+
+    trace_id = trace.metadata.extras.get("trace_id", "")
+    return [GestureSegment(start_s=float(trace.timestamps[s0]),
+                           end_s=float(trace.timestamps[s1]),
+                           samples=pre[s0: s1 + 1].copy(), trace_id=trace_id)
+            for s0, s1 in kept]
+
+
+def assert_same_segments(got, want):
+    assert [(g.start_s, g.end_s, g.samples.tobytes(), g.trace_id) for g in got] \
+        == [(g.start_s, g.end_s, g.samples.tobytes(), g.trace_id) for g in want]
+
+
+def burst_trace(rng, n_bursts):
+    """40 s of receiver noise and n_bursts bursts of random strength, length
+    and pitch; about half start within 1.2 s of the end of the one before,
+    where merging and phantom grouping reach them."""
+    x = rng.normal(0.0, 0.01, int(40 * FS))
+    end = 2.0
+    for _ in range(n_bursts):
+        dur = rng.uniform(0.03, 1.0)
+        t0 = end + rng.uniform(0.0, 1.2) if rng.random() < 0.5 else rng.uniform(2.0, 38.0)
+        t0 = min(t0, 39.0 - dur)
+        i0, m = int(round(t0 * FS)), int(round(dur * FS))
+        x[i0:i0 + m] += 10 ** rng.uniform(-1.5, 0.5) * np.hanning(m) * np.sin(
+            2 * np.pi * rng.uniform(3.0, 30.0) * np.arange(m) / FS)
+        end = t0 + dur
+    return make_trace(x, FS)
+
+
+class TestSegmentationOracle:
+    """segment keeps subsets of interval arrays; the oracle is the list
+    code it replaced. Every seed-0 corpus trace yields one segment, so only
+    the synthetic traces reach merge, phantom grouping and trim with several
+    candidates."""
+
+    def test_trailing_max_equals_a_direct_max(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            n = int(rng.integers(1, 60))
+            window = int(rng.integers(1, 80))  # also wider than the series
+            v = rng.integers(0, 5, n).astype(np.float64)  # ties
+            want = [v[max(0, j - window + 1): j + 1].max() for j in range(n)]
+            got = gesture._trailing_max(v, window)
+            assert got.tolist() == want
+            assert got.tobytes() == oracle_trailing_max(v, window).tobytes()
+
+    def test_a_gap_of_exactly_the_limit_starts_a_group(self):
+        # the oracle merges while s0 - previous end - 1 < gap: 4 free samples
+        # merge at gap 5, and 5 do not
+        s0, s1 = np.array([0, 10, 21]), np.array([5, 15, 30])
+        assert gesture._apart(s0, s1, 5).tolist() == [True, False, True]
+        assert gesture._apart(s0[:0], s1[:0], 5).tolist() == []
+
+    @pytest.mark.parametrize("split", ["gesture_train", "gesture_test"])
+    def test_matches_oracle_on_the_corpus(self, split):
+        cfg = SegmentationConfig(**CORPUS_SEGMENTATION)
+        for trace in make_corpora(0)[split]:
+            assert_same_segments(segment(trace, cfg), oracle_segment(trace, cfg))
+
+    def test_matches_oracle_on_synthetic_bursts(self):
+        rng = np.random.default_rng(21)
+        for i in range(240):
+            cfg = SegmentationConfig(
+                long_window=int(rng.integers(500, 4491)),
+                merge_gap_s=float(rng.choice([0.0, 0.1, 0.5])),
+                min_duration_s=float(rng.choice([0.01, 0.2])),
+                min_prominence=float(rng.choice([1.0, 3.0, 10.0])),
+                trim_fraction=float(rng.choice([0.0, 0.02, 0.5])),
+                guard_s=float(rng.choice([0.0, 2.0])))
+            trace = burst_trace(rng, i % 8)
+            assert_same_segments(segment(trace, cfg), oracle_segment(trace, cfg))
+
+    def test_no_candidate(self):
+        trace = make_trace(np.zeros(int(45 * FS)), FS)
+        assert segment(trace, TEST_CFG) == oracle_segment(trace, TEST_CFG) == []
+
+    def test_prominence_drops_every_candidate(self):
+        x = quiet_trace(45.0, seed=2)
+        add_burst(x, 30.0, amp_db=0.03)
+        trace = make_trace(x, FS)
+        # at min_prominence 1 the one candidate is kept: threshold 1 already
+        # puts its onset above its lagged history
+        loose = replace(TEST_CFG, min_prominence=1.0)
+        assert len(segment(trace, loose)) == 1
+        assert_same_segments(segment(trace, loose), oracle_segment(trace, loose))
+        strict = replace(TEST_CFG, min_prominence=10.0)
+        assert segment(trace, strict) == oracle_segment(trace, strict) == []
 
 
 class TestFeatures:

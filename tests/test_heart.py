@@ -18,10 +18,11 @@ from rfsense.heart import (
     estimate_window_single_harmonic,
     stream_heart_rate,
 )
-from rfsense.sim import NoiseModel, QUIET, VitalSignsProfile, simulate_vitals
+from rfsense.sim import NoiseModel, VitalSignsProfile, simulate_vitals
 from rfsense.trace import make_trace
 
 FS = 449.0
+QUIET = NoiseModel(gaussian_sigma_db=0.0, impulse_prob=0.0)
 CFG = HeartRateConfig()
 
 

@@ -2,6 +2,7 @@
 geometry invariants, vitals waveform structure, and corpus determinism."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from rfsense.sim import (
     GestureTemplate,
     LinkGeometry,
     NoiseModel,
-    QUIET,
     VitalSignsProfile,
     WalkPath,
     knife_edge_gain,
@@ -31,6 +31,7 @@ from rfsense import trace as rftrace
 from rfsense.gesture import GESTURE_LABELS
 
 FS = 449.0
+QUIET = NoiseModel(gaussian_sigma_db=0.0, impulse_prob=0.0)
 
 
 def mp_knife_edge(nu: float) -> complex:
@@ -197,6 +198,105 @@ class TestNoise:
             NoiseModel(impulse_prob=1.5)
         with pytest.raises(ValueError):
             NoiseModel(gaussian_sigma_db=-0.1)
+
+
+NAN = float("nan")
+
+
+def refused(name, value, need):
+    return pytest.raises(ValueError, match="^" + re.escape(
+        f"{name} must be {need}, not {value!r}") + "$")
+
+
+class TestNonFiniteInputs:
+    """Every simulator check is written so that NaN fails it, and names the
+    field. A NaN gaussian_sigma_db used to give a noise-free trace; others
+    ended in numpy's "cannot convert float NaN to integer" or in RssTrace's
+    non-finite error, which names no field."""
+
+    @pytest.mark.parametrize("value", [NAN, np.inf, 0.0])
+    def test_link_geometry(self, value):
+        with refused("wavelength_m", value, "finite and positive"):
+            LinkGeometry(wavelength_m=value)
+        with pytest.raises(ValueError, match="^tx and rx must be distinct finite points$"):
+            LinkGeometry(rx=(0.0, value))
+
+    @pytest.mark.parametrize("name, need", [
+        ("radius_m", "finite and positive"),
+        ("half_length_m", "finite and >= 0"),
+        ("scatter_amp", "finite and >= 0"),
+    ])
+    def test_body_model(self, name, need):
+        with refused(name, NAN, need):
+            BodyModel(**{name: NAN})
+
+    @pytest.mark.parametrize("name, what", [
+        ("angle_deg", "path angle must lie in (0, 90] degrees"),
+        ("speed_mps", "speed must lie in [0.1, 3.0] m/s"),
+        ("duration_s", "duration_s must be finite and positive, not nan"),
+        ("crossing_m", "crossing_m must be finite, not nan"),
+        ("start_offset_m", "start_offset_m must be finite, not nan"),
+    ])
+    def test_walk_path(self, name, what):
+        fields = dict(crossing_m=0.5, angle_deg=90.0, speed_mps=1.0,
+                      start_offset_m=-2.0, duration_s=4.0)
+        with pytest.raises(ValueError, match="^" + re.escape(what) + "$"):
+            WalkPath(**{**fields, name: NAN})
+
+    @pytest.mark.parametrize("name, need", [
+        ("breathing_rate_bpm", "finite and positive"),
+        ("pulse_width_s", "finite and positive"),
+        ("breathing_amplitude_db", "finite and >= 0"),
+        ("pulse_amplitude_db", "finite and >= 0"),
+    ])
+    def test_vital_signs_profile(self, name, need):
+        with refused(name, NAN, need):
+            VitalSignsProfile(**{name: NAN})
+
+    @pytest.mark.parametrize("name, need", [
+        ("gaussian_sigma_db", "finite and >= 0"),
+        ("impulse_scale_db", "finite and >= 0"),
+    ])
+    def test_noise_model(self, name, need):
+        with refused(name, NAN, need):
+            NoiseModel(**{name: NAN})
+        with pytest.raises(ValueError, match="^impulse_prob must be a probability$"):
+            NoiseModel(impulse_prob=NAN)
+
+    @pytest.mark.parametrize("name, need", [
+        ("amp_db", "finite and positive"),
+        ("freq_start_hz", "finite and positive"),
+        ("freq_end_hz", "finite and positive"),
+        ("amp_jitter", "finite and in [0, 1)"),
+        ("duration_jitter", "finite and in [0, 1)"),
+        ("freq_jitter", "finite and in [0, 1)"),
+        ("dc_shift_db", "finite"),
+    ])
+    def test_gesture_template(self, name, need):
+        with refused(name, NAN, need):
+            GestureTemplate(**{**dict(label="punch", duration_s=0.5, amp_db=2.0,
+                                      freq_start_hz=10.0, freq_end_hz=5.0), name: NAN})
+
+    @pytest.mark.parametrize("value", [NAN, np.inf, 0.0])
+    def test_simulate_vitals_duration(self, value):
+        with refused("duration_s", value, "finite and positive"):
+            simulate_vitals(VitalSignsProfile(), QUIET, duration_s=value)
+
+    @pytest.mark.parametrize("name", ["pre_pad_s", "post_pad_s"])
+    @pytest.mark.parametrize("value", [NAN, -1.0])
+    def test_simulate_gesture_pads(self, name, value):
+        with refused(name, value, "finite and >= 0"):
+            simulate_gesture(DEFAULT_TEMPLATES["punch"], QUIET, **{name: value})
+
+    @pytest.mark.parametrize("simulate", [
+        lambda fs: simulate_vitals(VitalSignsProfile(), QUIET, 5.0, fs=fs),
+        lambda fs: simulate_crossing(LinkGeometry(), WalkPath(0.5, 90.0, 1.0, -2.0, 4.0),
+                                     QUIET, fs=fs),
+        lambda fs: simulate_gesture(DEFAULT_TEMPLATES["punch"], QUIET, fs=fs),
+    ], ids=["vitals", "crossing", "gesture"])
+    def test_sample_rate(self, simulate):
+        with refused("fs", NAN, "finite and positive"):
+            simulate(NAN)
 
 
 class TestGestureSim:
