@@ -20,9 +20,11 @@ MAD_SCALE = 1.4826
 
 # Float64 elements per working block (8 MiB). It bounds, for any input
 # size, the windows hampel_filter's interior and edge paths take at once,
-# the temporaries of one span of its interior screen, the padded windows
-# spectrogram transforms at once, the difference slab of
+# the temporaries of one span of its interior screen, the padded windows of
+# one spectrogram block and their power, the difference slab of
 # classifiers.knn_predict and the padded samples of one heart-rate block.
+# _psd_rows transforms a block one row at a time, so no block-sized complex
+# spectrum is held.
 # The moving statistics need no block: each holds at most three arrays of
 # the series' length at once.
 _BLOCK = 1 << 20
@@ -427,20 +429,24 @@ def _psd_rows(rows: np.ndarray, fs: float, nfft: int, hann: np.ndarray,
     overwrites `rows`.
 
     Each row is mean-removed and multiplied by `hann` in place, then
-    zero-padded to nfft. Every step is row-wise and the fold and scale are
-    elementwise, so a row's power at a bin depends neither on the rest of
-    the block nor on which other bins are read.
+    zero-padded to nfft and transformed on its own, so one row's complex
+    spectrum is held at a time and only its `bins` are kept. Every step is
+    row-wise and the fold and scale are elementwise, so a row's power at a
+    bin depends neither on the rest of the block nor on which other bins
+    are read.
     """
     n = rows.shape[1]
     rows -= rows.mean(axis=1, keepdims=True)
     rows *= hann
-    power = np.abs(np.fft.rfft(rows, nfft, axis=1)[:, bins])
-    np.multiply(power, power, out=power)
     # One-sided fold: interior bins carry the conjugate half too.
     weights = np.full(nfft // 2 + 1, 2.0)
     weights[0] = 1.0
     if nfft % 2 == 0:
         weights[-1] = 1.0
+    power = np.empty((len(rows),) + weights[bins].shape)
+    for row, out in zip(rows, power):
+        np.abs(np.fft.rfft(row, nfft)[bins], out=out)
+    np.multiply(power, power, out=power)
     power *= weights[bins] / (n * fs)
     return power
 
@@ -481,9 +487,11 @@ def spectrogram(x, fs: float, window_s: float, hop_s: float,
                 nfft: int | None = None) -> Spectrogram:
     """Column j is periodogram(x[s_j : s_j + win], fs, nfft).power.
 
-    Windows are gathered and transformed in blocks of at most _BLOCK padded
-    samples, so the memory stays bounded for a long series; each gathered
-    block is a copy, which _psd_rows tapers in place.
+    Windows are gathered in blocks whose padded samples and power take at
+    most _BLOCK elements, so the memory stays bounded for a long series;
+    each gathered block is a copy, which _psd_rows tapers in place and
+    transforms one window at a time. Besides the output, a block holds its
+    windows, their power and one window's complex spectrum.
     """
     x = np.asarray(x, dtype=np.float64)
     win_n = int(round(window_s * fs))
@@ -500,10 +508,10 @@ def spectrogram(x, fs: float, window_s: float, hop_s: float,
     windows = np.lib.stride_tricks.sliding_window_view(x, win_n)
     hann = np.hanning(win_n)
     power = np.empty((nfft // 2 + 1, len(starts)))
-    step = max(1, _BLOCK // nfft)
+    step = max(1, _BLOCK // (nfft + len(power)))
     for lo in range(0, len(starts), step):
-        block = windows[starts[lo:lo + step]]
-        power[:, lo:lo + len(block)] = _psd_rows(block, fs, nfft, hann).T
+        cols = starts[lo:lo + step]
+        power[:, lo:lo + len(cols)] = _psd_rows(windows[cols], fs, nfft, hann).T
     times = (starts + win_n / 2.0) / fs
     return Spectrogram(times=times, frequencies=_frequencies(nfft, fs), power=power)
 

@@ -409,14 +409,14 @@ class TestHeartrate:
         rc = run(["heartrate", str(tmp_path / "ghost.csv"), "-o", str(tmp_path)])
         assert rc == 1
 
-    def test_trace_shorter_than_the_hampel_window_exits_1_naming_it(self, tmp_path,
-                                                                    capsys):
+    def test_trace_shorter_than_the_hampel_window_writes_no_estimates(self, tmp_path):
+        # 0.3 s at 449 Hz is shorter than the 201-sample Hampel window and
+        # than the first update period: no update, so no window to filter
         short = tmp_path / "short.csv"
-        save_trace(make_trace(np.zeros(134)), short)   # 0.3 s at 449 Hz
-        assert run(["heartrate", str(short), "-o", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {short}: series of 134 samples")
-        assert not (tmp_path / "out").exists()
+        save_trace(make_trace(np.zeros(134)), short)
+        assert run(["heartrate", str(short), "-o", str(tmp_path / "out")]) == 0
+        estimates = (tmp_path / "out" / "estimates.csv").read_text()
+        assert estimates == "t_s,bpm,status,peak_power\n"
 
     def test_uses_the_trace_sample_rate(self, tmp_path):
         trace = simulate_vitals(VitalSignsProfile(heart_rate_bpm=66.0),

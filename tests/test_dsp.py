@@ -488,8 +488,9 @@ class TestSpectrogram:
     @pytest.mark.parametrize("block", [None, 1, 3000])
     @pytest.mark.parametrize("hop_s, nfft", [(0.5, None), (0.01, 512), (3.3, 1024)])
     def test_bit_identical_to_periodogram_loop(self, monkeypatch, block, hop_s, nfft):
-        # block=1 puts each window in its own block, 3000 holds a few
-        # 256- to 1024-point windows, None is the module's default.
+        # block=1 puts each window in its own block, 3000 holds seven, three
+        # and one window with their power at nfft 256, 512 and 1024, None is
+        # the module's default.
         if block is not None:
             monkeypatch.setattr(dsp, "_BLOCK", block)
         rng = np.random.default_rng(11)
@@ -504,8 +505,9 @@ class TestSpectrogram:
 
     def test_peak_memory_of_a_long_series_is_bounded(self):
         """600 s at 449 Hz with the corpus speed window: 2,384 columns of
-        2,049 bins are 37 MiB of output; the windows in flight stay within
-        a few 8 MiB blocks."""
+        2,049 bins are 37 MiB of output. Beyond it one block of windows and
+        their power (6 MiB) is held, not the 8 MiB complex spectrum of a
+        block transformed at once (14 MiB above the output)."""
         x = np.random.default_rng(5).normal(-50.0, 1.0, 269_400)
         tracemalloc.start()
         try:
@@ -514,7 +516,58 @@ class TestSpectrogram:
         finally:
             tracemalloc.stop()
         assert spec.power.shape == (2049, 2384)
-        assert peak < 80 * 2 ** 20
+        assert peak < spec.power.nbytes + 8 * 2 ** 20
+
+
+def oracle_psd_rows(rows, fs, nfft, hann, bins=slice(None)):
+    """dsp._psd_rows as first written: the whole block transformed at once."""
+    n = rows.shape[1]
+    rows -= rows.mean(axis=1, keepdims=True)
+    rows *= hann
+    power = np.abs(np.fft.rfft(rows, nfft, axis=1)[:, bins])
+    np.multiply(power, power, out=power)
+    weights = np.full(nfft // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if nfft % 2 == 0:
+        weights[-1] = 1.0
+    power *= weights[bins] / (n * fs)
+    return power
+
+
+class TestPsdRows:
+    """The row-at-a-time kernel gives the block transform's bits."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equal_to_the_block_transform(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, n = int(rng.integers(1, 6)), int(rng.integers(2, 300))
+        # even and odd nfft, and nfft == n (odd or even with n)
+        for nfft in sorted({n, n + 1, next_pow2(n), 2 * next_pow2(n) + 1}):
+            half = nfft // 2 + 1
+            band = np.arange(half // 4, max(half // 4 + 1, half // 2))
+            for bins in (slice(None), band, np.concatenate((band, 2 * band))):
+                x = rng.normal(-50.0, 3.0, (rows, n))
+                hann = np.hanning(n)
+                want = oracle_psd_rows(x.copy(), 449.0, nfft, hann, bins)
+                got = dsp._psd_rows(x.copy(), 449.0, nfft, hann, bins)
+                assert got.tobytes() == want.tobytes(), (nfft, bins)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_periodogram_and_spectrogram_equal_the_block_transform(self, monkeypatch,
+                                                                   block):
+        if block is not None:
+            monkeypatch.setattr(dsp, "_BLOCK", block)
+        x = np.random.default_rng(13).normal(-50.0, 3.0, 2345)
+
+        def outputs():
+            return [periodogram(x, 100.0).power, periodogram(x[:999], 100.0, 999).power,
+                    spectrogram(x, 100.0, 2.0, 0.37).power,
+                    spectrogram(x, 100.0, 3.01, 1.0, nfft=301).power]
+
+        got = outputs()
+        monkeypatch.setattr(dsp, "_psd_rows", oracle_psd_rows)
+        want = outputs()
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 superposition vs the single-harmonic baseline, motion suppression, and
 stream/window bit-equality against a full-periodogram oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,13 @@ class TestSuppression:
         with pytest.raises(ValueError):
             calibrate_threshold(short, CFG)
 
+    @pytest.mark.parametrize("n", [150, 300, 500, CFG.window_samples - 1])
+    def test_calibrate_names_a_reference_without_a_full_window(self, n):
+        short = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=5), 20.0)
+        short = make_trace(short.rss_db[:n], FS)
+        with pytest.raises(ValueError, match="reference trace too short for a single window"):
+            calibrate_threshold(short, CFG)
+
 
 class TestStream:
     def test_estimate_counts(self, drift_trace):
@@ -286,6 +295,27 @@ class TestStream:
         bpms = np.array([e.bpm for e in ests])
         bin_bpm = 60.0 * FS / CFG.nfft
         assert np.var(bpms) <= bin_bpm ** 2
+
+    @pytest.mark.parametrize("n, updates", [(150, 0), (300, 0), (500, 1)])
+    def test_trace_without_a_full_window_is_not_filtered(self, monkeypatch, n, updates):
+        """150 samples are fewer than the 201 of the Hampel window; no update
+        of these traces has a full window, so none calls the filter."""
+        def refuse(*args):
+            raise AssertionError("hampel_filter called without a full window")
+
+        monkeypatch.setattr(heart, "hampel_filter", refuse)
+        tr = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=5), 20.0)
+        ests = stream_heart_rate(make_trace(tr.rss_db[:n], FS), CFG)
+        assert [fields(e) for e in ests] == [
+            (float(k), "None", "0.0", STATUS_INSUFFICIENT) for k in range(1, updates + 1)]
+
+    def test_trace_of_one_window(self):
+        tr = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=5), 20.0)
+        assert len(tr) == CFG.window_samples
+        ests = stream_heart_rate(tr, CFG)
+        assert [e.status for e in ests] == [STATUS_INSUFFICIENT] * 19 + [STATUS_ESTIMATE]
+        assert fields(ests[-1]) == fields(estimate_window(tr.rss_db, CFG, 20.0))
+        assert calibrate_threshold(tr, CFG) == 10.0 * ests[-1].peak_power
 
     def test_rejects_trace_at_another_rate(self):
         tr = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=2), 30.0, fs=300.0)
@@ -357,6 +387,26 @@ class TestBlockKernel:
             monkeypatch.setattr(dsp, "_BLOCK", bound)
             got = stream_heart_rate(motion, cfg, second_harmonic)
             assert [fields(e) for e in got] == want
+
+    def test_a_block_holds_no_block_sized_spectrum(self):
+        """A default block of 16 windows at 20 s (1.1 MiB) needs their
+        filtered copy and one row's 0.5 MiB spectrum at a time, not the 8 MiB
+        complex spectrum of the whole block."""
+        rows = dsp._BLOCK // CFG.nfft
+        tr = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=4), 40.0)
+        full = hampel_filter(tr.rss_db, CFG.hampel)
+        starts = np.arange(rows) * int(FS)
+        windows = heart.hampel_refresh_edges(tr.rss_db, full, starts,
+                                             CFG.window_samples, CFG.hampel)
+        bp, hann = heart._bandpass(CFG), np.hanning(CFG.window_samples)
+        tracemalloc.start()
+        try:
+            bpm, summed = heart._band_spectra(windows, bp, hann, CFG, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rows, summed.shape[0]) == (16, 16)
+        assert peak < windows.nbytes + 2 * 2 ** 20
 
     def test_blocks_hold_16_windows_of_65536_points(self, monkeypatch):
         """At nfft = 65,536 a block holds 16 windows: a 300 s stream at 20 s
