@@ -28,7 +28,7 @@ from dataclasses import asdict, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from . import __version__, gesture, heart, speed
+from . import __version__, dsp, gesture, heart, speed
 from .evaluate import (
     CORPUS_SEGMENTATION,
     CORPUS_SPEED,
@@ -128,9 +128,9 @@ def _field_value(value, kind, what: str):
         if not isinstance(value, list):
             raise UsageError(f"bad {what} config: need a JSON array, not {value!r}")
         return tuple(value)
-    if kind is int and not gesture._is_int(value):
+    if kind is int and not dsp._is_int(value):
         raise UsageError(f"bad {what} config: need an integer, not {value!r}")
-    if kind is float and not gesture._finite(value):
+    if kind is float and not dsp._finite(value):
         raise UsageError(f"bad {what} config: need a finite number, not {value!r}")
     return value
 

@@ -9,6 +9,7 @@ path in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +31,52 @@ MAD_SCALE = 1.4826
 _BLOCK = 1 << 20
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """True for a number, not a bool, that is a finite float; a string or an
+    int no float holds is not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _require(need: str, ok, **values) -> None:
+    """Raise ValueError "<name> must be <need>, not <value!r>" for the first
+    of `values` that is not finite or +inf, or fails `ok` (which decides +inf)."""
+    for name, value in values.items():
+        if not ((_finite(value) or value == math.inf) and ok(value)):
+            raise ValueError(f"{name} must be {need}, not {value!r}")
+
+
+def _positive(**values) -> None:
+    _require("finite and positive", lambda v: 0 < v < math.inf, **values)
+
+
+def _non_negative(**values) -> None:
+    _require("finite and >= 0", lambda v: 0 <= v < math.inf, **values)
+
+
+def _sample_count(what: str, value: float) -> int:
+    """int(round(value)) for `what`, a duration times a rate. NaN, a negative
+    value or one above 2**62, whose power-of-two transform length no signed
+    64-bit size holds, raises ValueError naming `what`."""
+    if not 0 <= value <= 2.0 ** 62:
+        raise ValueError(f"{what} is {value!r}, not a sample count up to 2**62")
+    return int(round(value))
+
+
 @dataclass(frozen=True)
 class HampelConfig:
     n_sigmas: float = 3.0
     half_window: int = 100  # window is 2*half_window + 1 samples
 
     def __post_init__(self):
-        # written so that NaN fails them
-        if not self.n_sigmas > 0:
-            raise ValueError(f"n_sigmas must be positive, not {self.n_sigmas!r}")
-        if not self.half_window >= 1:
-            raise ValueError(f"half_window must be >= 1, not {self.half_window!r}")
+        _positive(n_sigmas=self.n_sigmas)
+        _require(">= 1", lambda v: 1 <= v < math.inf, half_window=self.half_window)
 
 
 def _middle(lo: np.ndarray, hi: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -494,8 +530,8 @@ def spectrogram(x, fs: float, window_s: float, hop_s: float,
     windows, their power and one window's complex spectrum.
     """
     x = np.asarray(x, dtype=np.float64)
-    win_n = int(round(window_s * fs))
-    hop_n = max(1, int(round(hop_s * fs)))
+    win_n = _sample_count("window_s * fs", window_s * fs)
+    hop_n = max(1, _sample_count("hop_s * fs", hop_s * fs))
     if win_n < 2:
         raise ValueError("window too short")
     if len(x) < win_n:

@@ -23,6 +23,12 @@ from . import classifiers as _clf
 from .dsp import (
     HampelConfig,
     IirFilter,
+    _finite,
+    _is_int,
+    _non_negative,
+    _positive,
+    _require,
+    _sample_count,
     butterworth_lowpass,
     filter_forward,
     hampel_filter,
@@ -58,22 +64,19 @@ class SegmentationConfig:
     def __post_init__(self):
         # lowpass_order and lowpass_cutoff_hz get the checks butterworth_lowpass
         # makes, so a config is refused before any trace is read
-        for ok, what in (
-                (self.short_window >= 2, "short_window must be >= 2 samples"),
-                (self.short_window < self.long_window,
-                 "short_window must be smaller than long_window"),
-                (0.0 < self.threshold <= 1.0, "threshold must lie in (0, 1]"),
-                (self.min_duration_s > 0, "min_duration_s must be positive"),
-                (self.merge_gap_s >= 0, "merge_gap_s must be >= 0"),
-                (self.guard_s >= 0, "guard_s must be >= 0"),
-                (self.lowpass_cutoff_hz > 0, "lowpass_cutoff_hz must be positive"),
-                (self.lowpass_order in (2, 4, 6, 8),
-                 f"lowpass_order must be 2, 4, 6 or 8, not {self.lowpass_order!r}"),
-                (self.mean_window_s > 0, "mean_window_s must be positive"),
-                (0.0 <= self.trim_fraction < 1.0, "trim_fraction must lie in [0, 1)"),
-                (self.min_prominence >= 1.0, "min_prominence must be >= 1")):
-            if not ok:
-                raise ValueError(what)
+        _require(">= 2", lambda v: 2 <= v < math.inf, short_window=self.short_window)
+        if not self.short_window < self.long_window:
+            raise ValueError("short_window must be smaller than long_window")
+        _require("in (0, 1]", lambda v: 0 < v <= 1, threshold=self.threshold)
+        _positive(min_duration_s=self.min_duration_s,
+                  lowpass_cutoff_hz=self.lowpass_cutoff_hz,
+                  mean_window_s=self.mean_window_s)
+        _non_negative(merge_gap_s=self.merge_gap_s, guard_s=self.guard_s)
+        _require("2, 4, 6 or 8", lambda v: v in (2, 4, 6, 8),
+                 lowpass_order=self.lowpass_order)
+        _require("in [0, 1)", lambda v: 0 <= v < 1, trim_fraction=self.trim_fraction)
+        _require("finite and >= 1", lambda v: 1 <= v < math.inf,
+                 min_prominence=self.min_prominence)
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def _lowpass(order: int, cutoff_hz: float, fs: float) -> IirFilter:
 def _mean_samples(cfg: SegmentationConfig, fs: float) -> int:
     """The local mean window in samples at `fs`. Below 1.5 samples it rounds
     to a mean of one sample (or none), which would leave rounding residue."""
-    mean_n = int(round(cfg.mean_window_s * fs))
+    mean_n = _sample_count("mean_window_s * fs", cfg.mean_window_s * fs)
     if mean_n < 2:
         raise ValueError(f"mean_window_s {cfg.mean_window_s!r} is below 1.5 samples "
                          f"at {fs!r} Hz")
@@ -156,7 +159,7 @@ def segment(trace: RssTrace, cfg: SegmentationConfig = SegmentationConfig()
     w = cfg.short_window
     v = moving_variance(pre, w)            # v[j] covers samples [j, j+w)
     hist = _trailing_max(v, cfg.long_window)
-    guard_n = int(round(cfg.guard_s * fs))
+    guard_n = _sample_count("guard_s * fs", cfg.guard_s * fs)
     # Activity needs a fully populated history window guard_n in the past; a
     # thin reference (few variance samples) fires on ordinary noise records.
     jmin = guard_n + cfg.long_window - 1
@@ -172,10 +175,10 @@ def segment(trace: RssTrace, cfg: SegmentationConfig = SegmentationConfig()
 
     # merge runs less than merge_gap_s apart; new[0] is True, so rolled back
     # by one it marks the last run of each merged group
-    new = _apart(s0, s1, int(round(cfg.merge_gap_s * fs)))
+    new = _apart(s0, s1, _sample_count("merge_gap_s * fs", cfg.merge_gap_s * fs))
     s0, s1 = s0[new], s1[np.roll(new, -1)]
 
-    keep = s1 - s0 + 1 >= int(round(cfg.min_duration_s * fs))
+    keep = s1 - s0 + 1 >= _sample_count("min_duration_s * fs", cfg.min_duration_s * fs)
     s0, s1 = s0[keep], s1[keep]
     peak = np.array([v[a: b - w + 2].max() for a, b in zip(s0, s1)])
 
@@ -474,21 +477,6 @@ def _list_of(value, types) -> bool:
     """True for a JSON array whose items are all of `types` (never bool)."""
     return isinstance(value, list) and all(
         isinstance(v, types) and not isinstance(v, bool) for v in value)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    """True for a JSON number (not a bool) that is a finite float (an int
-    too large to convert is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def _is_matrix(value, width: int) -> bool:

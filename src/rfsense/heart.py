@@ -36,10 +36,6 @@ STATUS_INSUFFICIENT = "insufficient_data"
 # motion-suppression threshold over the median quiescent peak
 _THRESHOLD_MARGIN = 10.0
 
-# Largest window or transform length a config may ask for: its power-of-two
-# nfft still fits a signed 64-bit array size.
-_MAX_SAMPLES = 2.0 ** 62
-
 
 @dataclass(frozen=True)
 class HeartRateConfig:
@@ -62,36 +58,34 @@ class HeartRateConfig:
             raise ValueError("second harmonic must fit below the bandpass upper edge")
         if self.window_s * self.f_min_hz <= 1.0:
             raise ValueError("window must span at least one pulse period")
-        # written so that NaN fails them
-        for name in ("update_period_s", "nfft_target_resolution_bpm", "sample_rate_hz"):
-            if not (value := getattr(self, name)) > 0:
-                raise ValueError(f"{name} must be positive, not {value!r}")
+        dsp._positive(update_period_s=self.update_period_s,
+                      nfft_target_resolution_bpm=self.nfft_target_resolution_bpm,
+                      sample_rate_hz=self.sample_rate_hz)
         # the checks butterworth_bandpass makes, and a passband that holds
         # the whole heart-rate band
-        if self.bandpass_order not in (2, 4, 6, 8):
-            raise ValueError(f"bandpass_order must be 2, 4, 6 or 8, not "
-                             f"{self.bandpass_order!r}")
+        dsp._require("2, 4, 6 or 8", lambda v: v in (2, 4, 6, 8),
+                     bandpass_order=self.bandpass_order)
         if not 0.0 < self.bandpass_low_hz <= self.f_min_hz:
             raise ValueError("need 0 < bandpass_low_hz <= f_min_hz")
         if not self.bandpass_high_hz < self.sample_rate_hz / 2.0:
             raise ValueError(f"bandpass_high_hz {self.bandpass_high_hz!r} is not below "
                              f"half of sample_rate_hz {self.sample_rate_hz!r}")
-        if self.psd_threshold is not None and not self.psd_threshold > 0:
-            raise ValueError(f"psd_threshold must be positive when set, not "
-                             f"{self.psd_threshold!r}")
-        # window_samples and nfft round these to array sizes; an infinite or
-        # huge one would overflow there, after the config was accepted.
-        for what, count in (
-                ("window_s * sample_rate_hz", self.window_s * self.sample_rate_hz),
-                ("60 * sample_rate_hz / nfft_target_resolution_bpm",
-                 60.0 * self.sample_rate_hz / self.nfft_target_resolution_bpm)):
-            if not count <= _MAX_SAMPLES:
-                raise ValueError(f"{what} is {count!r}, not a sample count "
-                                 f"up to 2**62")
+        if self.psd_threshold is not None:  # +inf: never suppress
+            dsp._require("positive", lambda v: v > 0, psd_threshold=self.psd_threshold)
+        # the sizes the stream takes, refused here rather than mid-stream;
+        # nfft rounds its count up, so it is checked, not converted
+        if (h_win := 2 * self.hampel.half_window + 1) > self.window_samples:
+            raise ValueError(f"the {h_win}-sample Hampel window is longer than the "
+                             f"{self.window_samples}-sample window")
+        dsp._sample_count("60 * sample_rate_hz / nfft_target_resolution_bpm",
+                          60.0 * self.sample_rate_hz / self.nfft_target_resolution_bpm)
+        dsp._sample_count("update_period_s * sample_rate_hz",
+                          self.update_period_s * self.sample_rate_hz)
 
     @property
     def window_samples(self) -> int:
-        return int(round(self.window_s * self.sample_rate_hz))
+        return dsp._sample_count("window_s * sample_rate_hz",
+                                 self.window_s * self.sample_rate_hz)
 
     @property
     def nfft(self) -> int:
@@ -206,7 +200,7 @@ def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
     k = 1
     while True:
         t_end = k * cfg.update_period_s
-        end = int(round(t_end * fs))
+        end = dsp._sample_count("update time * sample_rate_hz", t_end * fs)
         if end > n:
             break
         times.append(t_end)

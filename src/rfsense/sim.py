@@ -31,7 +31,8 @@ from functools import partial
 import numpy as np
 from scipy.special import fresnel
 
-from .gesture import GESTURE_LABELS, _finite
+from .dsp import _finite, _non_negative, _positive, _require, _sample_count
+from .gesture import GESTURE_LABELS
 from .trace import DEFAULT_SAMPLE_RATE_HZ, GroundTruth, RssTrace, make_trace
 
 DEFAULT_BASELINE_DB = -50.0
@@ -40,22 +41,6 @@ IMPULSE_MAX_LEN = 2
 
 # resting heart-rate band, bpm
 HR_BAND = (50.4, 100.2)
-
-
-def _require(need: str, ok, **values) -> None:
-    """Raise ValueError naming the first of `values` that is NaN, +-inf or
-    fails `ok`, so that no simulator input turns NaN into a trace."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and ok(value)):
-            raise ValueError(f"{name} must be {need}, not {value!r}")
-
-
-def _positive(**values) -> None:
-    _require("finite and positive", lambda v: v > 0, **values)
-
-
-def _non_negative(**values) -> None:
-    _require("finite and >= 0", lambda v: v >= 0, **values)
 
 
 @dataclass(frozen=True)
@@ -101,7 +86,7 @@ class WalkPath:
         if not 0.1 <= self.speed_mps <= 3.0:
             raise ValueError("speed must lie in [0.1, 3.0] m/s")
         _positive(duration_s=self.duration_s)
-        _require("finite", lambda v: True, crossing_m=self.crossing_m,
+        _require("finite", math.isfinite, crossing_m=self.crossing_m,
                  start_offset_m=self.start_offset_m)
 
 
@@ -183,7 +168,7 @@ def simulate_vitals(profile: VitalSignsProfile, noise: NoiseModel, duration_s: f
     if profile.pulse_width_s < 1.0 / fs:
         raise ValueError(f"pulse_width_s {profile.pulse_width_s!r} is below one "
                          f"sample period (1/{fs!r} s)")
-    n = int(round(duration_s * fs))
+    n = _sample_count("duration_s * fs", duration_s * fs)
     t = np.arange(n) / fs
     pts = profile.heart_rate_points()
     hr = np.interp(t, [p[0] for p in pts], [p[1] for p in pts])
@@ -241,7 +226,7 @@ def simulate_crossing(geom: LinkGeometry, path: WalkPath, noise: NoiseModel,
     cross_t = -path.start_offset_m / path.speed_mps
     if not 0.0 <= cross_t <= path.duration_s:
         raise ValueError("path does not cross the link within the trace duration")
-    n = int(round(path.duration_s * fs))
+    n = _sample_count("duration_s * fs", path.duration_s * fs)
     t = np.arange(n) / fs
     h = _crossing_channel(geom, path, body, t)
     rss = 20.0 * np.log10(np.maximum(np.abs(h), 1e-9)) + DEFAULT_BASELINE_DB
@@ -277,15 +262,14 @@ class GestureTemplate:
     def __post_init__(self):
         if self.label not in GESTURE_LABELS:
             raise ValueError(f"unknown gesture label {self.label!r}")
-        if not 0.3 <= self.duration_s <= 3.0:
-            raise ValueError("gesture duration must lie in [0.3, 3] s")
+        _require("in [0.3, 3]", lambda v: 0.3 <= v <= 3, duration_s=self.duration_s)
         if self.envelope not in ENVELOPES:
             raise ValueError(f"envelope must be one of {ENVELOPES}")
         _positive(amp_db=self.amp_db, freq_start_hz=self.freq_start_hz,
                   freq_end_hz=self.freq_end_hz)
         _require("finite and in [0, 1)", lambda v: 0 <= v < 1, amp_jitter=self.amp_jitter,
                  duration_jitter=self.duration_jitter, freq_jitter=self.freq_jitter)
-        _require("finite", lambda v: True, dc_shift_db=self.dc_shift_db)
+        _require("finite", math.isfinite, dc_shift_db=self.dc_shift_db)
 
 
 DEFAULT_TEMPLATES = {
@@ -325,7 +309,7 @@ def _gesture_waveform(tpl: GestureTemplate, rng: np.random.Generator,
         0.3, 3.0))
     f0 = tpl.freq_start_hz * (1.0 + rng.uniform(-tpl.freq_jitter, tpl.freq_jitter))
     f1 = tpl.freq_end_hz * (1.0 + rng.uniform(-tpl.freq_jitter, tpl.freq_jitter))
-    n = int(round(dur * fs))
+    n = _sample_count("gesture duration * fs", dur * fs)
     tau = np.arange(n) / fs
     f_inst = f0 + (f1 - f0) * tau / dur
     phase = 2.0 * np.pi * np.cumsum(f_inst) / fs
@@ -347,9 +331,9 @@ def simulate_gesture(template: GestureTemplate, noise: NoiseModel,
     _positive(fs=fs)
     rng = np.random.default_rng([seed, noise.seed])
     wave = _gesture_waveform(template, rng, fs)
-    n_pre = int(round(pre_pad_s * fs))
-    rss = np.full(n_pre + len(wave) + int(round(post_pad_s * fs)),
-                  DEFAULT_BASELINE_DB)
+    n_pre = _sample_count("pre_pad_s * fs", pre_pad_s * fs)
+    n_post = _sample_count("post_pad_s * fs", post_pad_s * fs)
+    rss = np.full(n_pre + len(wave) + n_post, DEFAULT_BASELINE_DB)
     rss[n_pre: n_pre + len(wave)] += wave
     rss += noise.sample(rng, len(rss))
     gt = GroundTruth(label=template.label, start_s=n_pre / fs,

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dsp import HampelConfig, hampel_filter, moving_average, spectrogram
+from .dsp import (HampelConfig, _non_negative, _positive, _require, hampel_filter,
+                  moving_average, spectrogram)
 from .trace import RssTrace
 
 ALPHA_SIDECAR_MAGIC = "# rfsense-alpha-v1"
@@ -38,15 +39,14 @@ class SpeedConfig:
     hampel: HampelConfig = field(default_factory=HampelConfig)
 
     def __post_init__(self):
-        # written so that NaN fails them
-        for name in ("window_s", "hop_s", "search_interval_s"):
-            if not (value := getattr(self, name)) > 0:
-                raise ValueError(f"{name} must be positive, not {value!r}")
-        if not self.smoothing_window >= 1:
-            raise ValueError("smoothing_window must be >= 1")
-        for name in ("crossing_threshold_hz", "alpha_m"):
-            if (value := getattr(self, name)) is not None and not value > 0:
-                raise ValueError(f"{name} must be positive when set, not {value!r}")
+        _positive(window_s=self.window_s, hop_s=self.hop_s,
+                  search_interval_s=self.search_interval_s)
+        _require(">= 1", lambda v: 1 <= v < math.inf, smoothing_window=self.smoothing_window)
+        if self.crossing_threshold_hz is not None:  # +inf: every window is below
+            _require("positive", lambda v: v > 0,
+                     crossing_threshold_hz=self.crossing_threshold_hz)
+        if self.alpha_m is not None:
+            _positive(alpha_m=self.alpha_m)
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class CrossingEvent:
     v_hat_mps: float
 
     def __post_init__(self):
-        if self.f_min_av_hz < 0:
-            raise ValueError("f_min_av_hz must be >= 0")
+        _non_negative(f_min_av_hz=self.f_min_av_hz)
 
 
 def average_frequency(spec) -> tuple[np.ndarray, np.ndarray]:

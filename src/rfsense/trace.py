@@ -27,8 +27,8 @@ load_trace raises ValueError, prefixed with the path, for a file it cannot
 trust. Errors tied to one body row name it as ``path:line`` (the first data
 row is line 3):
 
-- a row whose field count differs from the header's, or a token that is not
-  a number;
+- a row whose field count differs from the header's, or a token that
+  np.loadtxt, the one body parser, refuses (``1_0``, which float() reads);
 - a timestamp step that differs from the nominal period 1 / sample_rate_hz
   by more than half a period (MAX_STEP_ERROR_PERIODS): every estimator
   assumes uniform sampling, t[i] = t[0] + i / fs.
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import _require_finite
+from .dsp import _positive, _require_finite
 
 DEFAULT_SAMPLE_RATE_HZ = 449.0
 DEFAULT_CENTER_FREQ_HZ = 434e6
@@ -60,6 +60,9 @@ MAX_STEP_ERROR_PERIODS = 0.5
 
 # File line of the first data row, after the metadata and column-name lines.
 _FIRST_DATA_LINE = 3
+
+# np.loadtxt's arguments for the body, its one parser
+_LOADTXT = dict(delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 
 # Scalar ground-truth fields and their column names, in file order.
 _GT_SCALAR_COLUMNS = (
@@ -108,10 +111,7 @@ class TraceMetadata:
     extras: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if not self.center_freq_hz > 0:
-            raise ValueError(f"center_freq_hz must be positive, got {self.center_freq_hz}")
+        _positive(sample_rate_hz=self.sample_rate_hz, center_freq_hz=self.center_freq_hz)
 
 
 @dataclass
@@ -290,26 +290,27 @@ def _data_lines(lines: list[str]):
             yield line_no, line
 
 
-def _parse_rows(lines: list[str], width: int, path) -> np.ndarray:
-    """Per-token float() parse of the body, naming the first bad line.
+def _reads(lines: list[str], **kwargs) -> bool:
+    try:
+        np.loadtxt(lines, **_LOADTXT, **kwargs)
+    except ValueError:
+        return False
+    return True
 
-    Runs only when np.loadtxt rejects the body. A token that float() accepts
-    and loadtxt does not (such as '1_0') parses here as it always has.
-    """
-    rows = []
+
+def _refused_line(lines: list[str], width: int, path) -> None:
+    """Raise naming the first body line np.loadtxt refuses: one whose field
+    count differs from the header's, or one with a token loadtxt cannot
+    read, which is named too. Runs only once loadtxt has refused the body."""
     for line_no, line in _data_lines(lines):
         fields = line.split(",")
         if len(fields) != width:
             raise ValueError(f"{path}:{line_no}: {len(fields)} fields, "
                              f"the header names {width}")
-        row = []
-        for tok in fields:
-            try:
-                row.append(float(tok))
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: {tok!r} is not a number") from None
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
+        if not _reads([line]):
+            bad = next((tok for i, tok in enumerate(fields)
+                        if not _reads([line], usecols=(i,))), line)
+            raise ValueError(f"{path}:{line_no}: {bad!r} is not a number")
 
 
 def _line_of(lines: list[str], row: int) -> int:
@@ -376,13 +377,11 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
     if colnames[:2] != ["t_s", "rss_db"]:
         raise ValueError(f"{path}: expected columns t_s,rss_db..., got {colnames}")
     if any(line.strip() for line in lines):
-        # numpy's parser rounds correctly, like float(), so the arrays are
-        # bit-identical to a per-token parse.
         try:
-            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                              dtype=np.float64)
-        except ValueError:
-            data = _parse_rows(lines, len(colnames), path)
+            data = np.loadtxt(lines, **_LOADTXT)
+        except ValueError as e:
+            _refused_line(lines, len(colnames), path)
+            raise ValueError(f"{path}: {e}") from None  # no one line refused
     else:
         data = np.empty((0, len(colnames)))
     if data.shape[1] != len(colnames):

@@ -708,10 +708,10 @@ class TestGesture:
 
     @pytest.mark.parametrize("key, value, what", [
         ("lowpass_order", 3, "lowpass_order must be 2, 4, 6 or 8, not 3"),
-        ("lowpass_cutoff_hz", -5, "lowpass_cutoff_hz must be positive"),
-        ("mean_window_s", 0, "mean_window_s must be positive"),
-        ("mean_window_s", -1.0, "mean_window_s must be positive"),
-        ("merge_gap_s", -0.1, "merge_gap_s must be >= 0"),
+        ("lowpass_cutoff_hz", -5, "lowpass_cutoff_hz must be finite and positive, not -5"),
+        ("mean_window_s", 0, "mean_window_s must be finite and positive, not 0"),
+        ("mean_window_s", -1.0, "mean_window_s must be finite and positive, not -1.0"),
+        ("merge_gap_s", -0.1, "merge_gap_s must be finite and >= 0, not -0.1"),
     ])
     def test_segmentation_its_kernels_cannot_use_exits_2(
             self, key, value, what, gesture_corpus, trained_model, tmp_path, capsys):
@@ -919,6 +919,53 @@ class TestSpeed:
         assert err.startswith(f"error: {bad}: not an alpha sidecar: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestOversizedDurations:
+    """Each of these ended in an OverflowError traceback, or for 1e17 s in
+    numpy's unnamed "Maximum allowed size exceeded"; now each is one named
+    error line, exit 2 for a config refused before any trace is read and 1
+    for a sample count at the trace's rate, and no -o directory."""
+
+    @staticmethod
+    def check(args, rc, line, tmp_path, capsys):
+        assert run([*args, "-o", str(tmp_path / "out")]) == rc
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_heart_update_period_exits_2(self, vitals_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"heart": {"update_period_s": 1e308}}))
+        self.check(["heartrate", str(vitals_dir / "vitals.csv"), "--config", str(cfg)], 2,
+                   "bad heart config: update_period_s * sample_rate_hz is inf, "
+                   "not a sample count up to 2**62", tmp_path, capsys)
+
+    @pytest.mark.parametrize("key", ["hop_s", "window_s"])
+    def test_speed_window_and_hop_exit_1(self, key, calibrated, crossing_files,
+                                         tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speed": {key: 1e308}}))
+        self.check(["speed", "estimate", str(crossing_files[0]), "--config", str(cfg),
+                    "--alpha-file", str(calibrated / "alpha.txt")], 1,
+                   f"{crossing_files[0]}: {key} * fs is inf, not a sample count "
+                   "up to 2**62", tmp_path, capsys)
+
+    def test_segmentation_guard_exits_1(self, gesture_corpus, tmp_path, capsys):
+        train, _, _ = gesture_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"segmentation": {"long_window": 4490,
+                                                    "guard_s": 1e308}}))
+        self.check(["gesture", "train", str(train), "--config", str(cfg)], 1,
+                   f"{train / 'punch_0.csv'}: guard_s * fs is inf, not a sample count "
+                   "up to 2**62", tmp_path, capsys)
+
+    @pytest.mark.parametrize("kind, duration, count", [
+        ("vitals", "1e308", "inf"), ("crossing", "1e308", "inf"),
+        ("vitals", "1e17", "4.49e+19")])
+    def test_simulate_duration_exits_1(self, kind, duration, count, tmp_path, capsys):
+        self.check(["simulate", kind, "--duration", duration], 1,
+                   f"duration_s * fs is {count}, not a sample count up to 2**62",
+                   tmp_path, capsys)
 
 
 class TestManifest:

@@ -51,6 +51,30 @@ def naive_hampel(x, cfg):
     return out
 
 
+class TestSampleCount:
+    """dsp._sample_count is int(round(value)) on [0, 2**62] and a named
+    ValueError elsewhere."""
+
+    @given(st.one_of(st.floats(0.0, 2.0 ** 62),
+                     st.integers(0, 2 ** 52 - 1).map(lambda i: i + 0.5)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_int_round(self, value):
+        assert dsp._sample_count("x", value) == int(round(value))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.5, 1.5, 2.5, 2.0 ** 52 - 0.5,
+                                       2.0 ** 62])
+    def test_edges_and_half_integers(self, value):
+        got = dsp._sample_count("x", value)
+        assert type(got) is int and got == int(round(value))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5, -5e-324,
+                                       2.0 ** 62 * (1 + 2.0 ** -52)])
+    def test_refuses_by_name(self, value):
+        what = re.escape(f"window_s * fs is {value!r}, not a sample count up to 2**62")
+        with pytest.raises(ValueError, match=f"^{what}$"):
+            dsp._sample_count("window_s * fs", value)
+
+
 class TestHampel:
     def test_single_impulse_removed(self):
         x = np.array([1.0, 1, 1, 9, 1, 1, 1])
@@ -73,9 +97,9 @@ class TestHampel:
         assert np.array_equal(out[[0, 1, 2, 4, 5, 6]], x[[0, 1, 2, 4, 5, 6]])
 
     @pytest.mark.parametrize("fields, what", [
-        ({"n_sigmas": np.nan}, "n_sigmas must be positive, not nan"),
-        ({"n_sigmas": 0.0}, "n_sigmas must be positive, not 0.0"),
-        ({"n_sigmas": -3.0}, "n_sigmas must be positive, not -3.0"),
+        ({"n_sigmas": np.nan}, "n_sigmas must be finite and positive, not nan"),
+        ({"n_sigmas": 0.0}, "n_sigmas must be finite and positive, not 0.0"),
+        ({"n_sigmas": -3.0}, "n_sigmas must be finite and positive, not -3.0"),
         ({"half_window": np.nan}, "half_window must be >= 1, not nan"),
         ({"half_window": 0}, "half_window must be >= 1, not 0"),
     ])
@@ -83,6 +107,14 @@ class TestHampel:
         # n_sigmas=nan used to pass `n_sigmas <= 0` and keep every outlier
         with pytest.raises(ValueError, match=what):
             HampelConfig(**fields)
+
+    @pytest.mark.parametrize("value", [np.inf, True, "3", 10 ** 400])
+    def test_config_refuses_inf_and_what_is_not_a_number(self, value):
+        """A bool, a string and an int no float holds fail the one checker
+        by name rather than with a TypeError or OverflowError later."""
+        what = re.escape(f"n_sigmas must be finite and positive, not {value!r}")
+        with pytest.raises(ValueError, match=f"^{what}$"):
+            HampelConfig(n_sigmas=value)
 
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):

@@ -142,6 +142,20 @@ class TestSegmentation:
         with pytest.raises(ValueError, match=f"^{key} must"):
             SegmentationConfig(**{key: value})
 
+    @pytest.mark.parametrize("key, need", [
+        ("guard_s", "finite and >= 0"), ("merge_gap_s", "finite and >= 0"),
+        ("min_duration_s", "finite and positive"), ("mean_window_s", "finite and positive"),
+    ])
+    def test_infinite_or_oversized_duration_refused_by_name(self, key, need):
+        """+inf used to pass the config and 1e308 s to end in an OverflowError
+        where segment rounds it to samples; the rate is the trace's, so the
+        sample count is refused there."""
+        with pytest.raises(ValueError, match=f"^{key} must be {need}, not inf$"):
+            replace(TEST_CFG, **{key: np.inf})
+        with pytest.raises(ValueError, match=f"^{key} \\* fs is inf, not a sample count"):
+            segment(make_trace(quiet_trace(45.0, seed=2), FS),
+                    replace(TEST_CFG, **{key: 1e308}))
+
     def test_config_edges_accepted(self):
         for order in (2, 4, 6, 8):
             SegmentationConfig(lowpass_order=order)

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from rfsense import dsp, heart
-from rfsense.dsp import butterworth_bandpass, filter_forward, hampel_filter, periodogram
+from rfsense.dsp import (
+    HampelConfig,
+    butterworth_bandpass,
+    filter_forward,
+    hampel_filter,
+    periodogram,
+)
 from rfsense.heart import (
     STATUS_ESTIMATE,
     STATUS_INSUFFICIENT,
@@ -83,14 +89,14 @@ class TestConfig:
             HeartRateConfig(psd_threshold=0.0)
 
     @pytest.mark.parametrize("fields, what", [
-        ({"psd_threshold": float("nan")}, "psd_threshold must be positive when set, not nan"),
-        ({"psd_threshold": -1.0}, "psd_threshold must be positive when set, not -1.0"),
-        ({"update_period_s": float("nan")}, "update_period_s must be positive, not nan"),
-        ({"update_period_s": 0.0}, "update_period_s must be positive, not 0.0"),
+        ({"psd_threshold": float("nan")}, "psd_threshold must be positive, not nan"),
+        ({"psd_threshold": -1.0}, "psd_threshold must be positive, not -1.0"),
+        ({"update_period_s": float("nan")}, "update_period_s must be finite and positive, not nan"),
+        ({"update_period_s": 0.0}, "update_period_s must be finite and positive, not 0.0"),
         ({"nfft_target_resolution_bpm": float("nan")},
-         "nfft_target_resolution_bpm must be positive, not nan"),
-        ({"sample_rate_hz": float("nan")}, "sample_rate_hz must be positive, not nan"),
-        ({"sample_rate_hz": -449.0}, "sample_rate_hz must be positive, not -449.0"),
+         "nfft_target_resolution_bpm must be finite and positive, not nan"),
+        ({"sample_rate_hz": float("nan")}, "sample_rate_hz must be finite and positive, not nan"),
+        ({"sample_rate_hz": -449.0}, "sample_rate_hz must be finite and positive, not -449.0"),
     ])
     def test_nan_and_non_positive_values_rejected(self, fields, what):
         """A NaN psd_threshold used to pass `<= 0`, so the stream never
@@ -133,6 +139,26 @@ class TestConfig:
     def test_bandpass_at_the_limits_is_designed(self, fields):
         cfg = HeartRateConfig(**fields)
         assert len(heart._bandpass(cfg).sos) == cfg.bandpass_order // 2
+
+    def test_infinite_or_oversized_update_period_refused_by_name(self):
+        """1e308 s used to end in an OverflowError in the stream's loop."""
+        with pytest.raises(ValueError, match="^update_period_s must be finite and "
+                                             "positive, not inf$"):
+            HeartRateConfig(update_period_s=np.inf)
+        with pytest.raises(ValueError, match="^update_period_s \\* sample_rate_hz is "
+                                             "inf, not a sample count"):
+            HeartRateConfig(update_period_s=1e308)
+
+    def test_hampel_window_longer_than_the_window_refused(self):
+        """The stream and estimate_window used to fail on it at run time,
+        each with its own message."""
+        with pytest.raises(ValueError, match="^the 1001-sample Hampel window is longer "
+                                             "than the 898-sample window$"):
+            HeartRateConfig(window_s=2.0, hampel=HampelConfig(half_window=500))
+        with pytest.raises(ValueError, match="^the 899-sample Hampel"):
+            HeartRateConfig(window_s=2.0, hampel=HampelConfig(half_window=449))
+        assert HeartRateConfig(window_s=2.0,
+                               hampel=HampelConfig(half_window=448)).window_samples == 898
 
     def test_largest_sample_counts_accepted(self):
         cfg = HeartRateConfig(window_s=2.0 ** 62 / FS,

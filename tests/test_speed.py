@@ -85,8 +85,9 @@ class TestConfig:
     @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
     def test_nan_and_non_positive_values_name_the_field(self, name, value):
         # a NaN crossing_threshold_hz used to pass `<= 0`, and no crossing
-        # was ever found below it
-        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        # was ever found below it; the threshold alone may be +inf
+        need = "positive" if name == "crossing_threshold_hz" else "finite and positive"
+        with pytest.raises(ValueError, match=f"^{name} must be {need}, not {value!r}$"):
             SpeedConfig(**{name: value})
 
     def test_event_rejects_negative_frequency(self):

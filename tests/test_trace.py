@@ -425,13 +425,16 @@ class TestLoadErrors:
         with self.raises_at(p, 6, "'-4o.5' is not a number"):
             load_trace(p)
 
-    def test_token_that_float_accepts_still_loads(self, tmp_path):
-        # numpy's parser rejects digit separators; the per-token fallback
-        # keeps float()'s reading of them.
+    @pytest.mark.parametrize("token", ["-4_0.5", "-50_1", "\u0661"])
+    def test_token_that_only_float_reads_is_refused(self, tmp_path, token):
+        # np.loadtxt is the one parser: a digit separator or an Arabic-Indic
+        # digit, which float() reads as -40.5, -501.0 or 1.0, is refused by
+        # line, not read as a plausible number. No writer produces them.
         p, lines = self.written(tmp_path, n=3)
-        lines[3] = lines[3].split(",")[0] + ",-4_0.5"
+        lines[3] = lines[3].split(",")[0] + "," + token
         p.write_text("\n".join(lines) + "\n")
-        assert load_trace(p).rss_db[1] == -40.5
+        with self.raises_at(p, 4, re.escape(f"{token!r} is not a number")):
+            load_trace(p)
 
     @pytest.mark.parametrize("old, new, what", [
         (b"-45", b"-4\xff5", "not UTF-8 text"),
