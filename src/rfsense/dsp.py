@@ -21,9 +21,10 @@ MAD_SCALE = 1.4826
 
 # Float64 elements per working block (8 MiB). It bounds, for any input
 # size, the windows hampel_filter's interior and edge paths take at once,
-# the temporaries of one span of its interior screen, the padded windows of
-# one spectrogram block and their power, the difference slab of
-# classifiers.knn_predict and the padded samples of one heart-rate block.
+# the temporaries of one span of its interior screen (a quarter block), the
+# padded windows of one spectrogram block and their power, the difference
+# slab of classifiers.knn_predict and the padded samples of the heart-rate
+# rows in flight on all workers at once.
 # _psd_rows transforms a block one row at a time, so no block-sized complex
 # spectrum is held.
 # The moving statistics need no block: each holds at most three arrays of
@@ -236,13 +237,15 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
     out = x.copy()
 
     # Interior: full windows, screened in spans of centres. A span's screen
-    # holds fewer than 16 span-length float64 arrays at once, so they fit in
-    # one _BLOCK; four windows at least keep a small _BLOCK from calling the
-    # rank filters once per sample. Uncertified windows go to the exact path
-    # in chunks of rows to bound the memory. The window is odd, so the
-    # median and the MAD are element k of a partition.
+    # holds fewer than 16 span-length float64 arrays at once, a quarter of
+    # one _BLOCK, so the heap a screen leaves to the calling thread stays
+    # small beside the heaps of stream_heart_rate's worker threads. Four
+    # windows at least keep a small _BLOCK from calling the rank filters
+    # once per sample. Uncertified windows go to the exact path in chunks
+    # of rows to bound the memory. The window is odd, so the median and the
+    # MAD are element k of a partition.
     windows = np.lib.stride_tricks.sliding_window_view(x, win)
-    span = max(_BLOCK // 16, 4 * win)
+    span = max(_BLOCK // 64, 4 * win)
     step = max(1, _BLOCK // win)
     for c0 in range(k, n - k, span):
         exact = _uncertified(x[c0 - k:min(c0 + span, n - k) + k], cfg)
@@ -271,8 +274,10 @@ def hampel_refresh_edges(x: np.ndarray, full: np.ndarray, starts, length: int,
     only the first/last half_window samples of each slice need recomputing
     with shrunken windows, all slices in one pass. Row j equals
     hampel_filter(x[starts[j]:starts[j] + length], cfg), cheaper when slices
-    overlap heavily. x needs no finiteness check here: computing `full`
-    has already refused a non-finite x.
+    overlap heavily. The edges are computed before the slices are copied,
+    so the edge pass's temporaries and the copy are not held at once. x
+    needs no finiteness check here: computing `full` has already refused a
+    non-finite x.
     """
     k = cfg.half_window
     starts = np.asarray(starts, dtype=np.intp)
@@ -280,8 +285,9 @@ def hampel_refresh_edges(x: np.ndarray, full: np.ndarray, starts, length: int,
         raise ValueError("slice shorter than the filter window")
     if len(starts) and (starts.min() < 0 or starts.max() > len(x) - length):
         raise ValueError("slice outside the series")
+    left, right = _shrunken_edges(x, starts, length, cfg)
     out = np.lib.stride_tricks.sliding_window_view(full, length)[starts]
-    out[:, :k], out[:, length - k:] = _shrunken_edges(x, starts, length, cfg)
+    out[:, :k], out[:, length - k:] = left, right
     return out
 
 

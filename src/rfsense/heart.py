@@ -11,6 +11,8 @@ which raises the PSD peak by orders of magnitude.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -178,6 +180,14 @@ def estimate_window_single_harmonic(window_rss: np.ndarray,
     return estimate_window(window_rss, cfg, time_s, second_harmonic=False)
 
 
+def _workers() -> int:
+    """One worker thread per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
                       second_harmonic: bool = True) -> list[HeartRateEstimate]:
     """Trailing-window estimates every update period, stamped at window end.
@@ -186,9 +196,13 @@ def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
     once over the whole trace, and the full windows go in blocks of rows:
     one call refreshes the window-edge regions of a block, where the
     filter's shrunken context differs, and one bandpass call and one
-    _psd_rows call serve all its rows. Each estimate stays bit-identical to
-    estimate_window on that window in isolation. A trace too short for one
-    full window gives only insufficient_data updates, and is not filtered.
+    _psd_rows call serve all its rows. The blocks run on a pool of one
+    worker thread per CPU the process may use (_workers), made for this
+    call and joined before it returns or raises; their estimates are
+    collected in order. Every step is row-wise, so each estimate stays
+    bit-identical to estimate_window on that window in isolation, whatever
+    the worker count. A trace too short for one full window gives only
+    insufficient_data updates, and is not filtered.
     """
     fs = cfg.sample_rate_hz
     if trace.metadata.sample_rate_hz != fs:
@@ -214,16 +228,28 @@ def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
     full = hampel_filter(trace.rss_db, cfg.hampel)
     bp = _bandpass(cfg)
     hann = np.hanning(n_win)
-    # dsp._BLOCK padded samples (rows x nfft) per block of windows: 16 rows at
-    # nfft = 65,536. A block holds its windows (passed straight in, so they
-    # are dropped once filtered), their filtered copy and one row's complex
-    # transform at a time: 1.1 MiB of windows and 0.5 MiB of spectrum at 20 s.
+    # The tasks in flight on all workers together hold at most dsp._BLOCK
+    # padded samples (rows x nfft) whenever one row fits: 16 rows at nfft =
+    # 65,536, 8 per task with two workers; no more workers start than rows.
+    # A task holds its windows (passed straight in, so they are dropped once
+    # filtered), their filtered copy and one row's complex transform at a
+    # time: 0.6 MiB of windows and 0.5 MiB of spectrum at 20 s and 8 rows.
+    # The FFT, sosfilt and the edge refresh's large array operations release
+    # the GIL, so tasks overlap. The arrays the tasks share are only read;
+    # each writes only to the copies it makes.
     rows = max(1, dsp._BLOCK // cfg.nfft)
-    for lo in range(first, len(times), rows):
+    workers = min(_workers(), rows)
+    rows //= workers
+
+    def block(lo: int) -> list[HeartRateEstimate]:
         bpm, summed = _band_spectra(hampel_refresh_edges(
             trace.rss_db, full, starts[lo:lo + rows], n_win, cfg.hampel),
             bp, hann, cfg, second_harmonic)
-        out.extend(_estimates(bpm, summed, times[lo:lo + rows], cfg))
+        return _estimates(bpm, summed, times[lo:lo + rows], cfg)
+
+    with ThreadPoolExecutor(workers) as pool:
+        for estimates in pool.map(block, range(first, len(times), rows)):
+            out.extend(estimates)
     return out
 
 

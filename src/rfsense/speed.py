@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dsp import (HampelConfig, _non_negative, _positive, _require, hampel_filter,
-                  moving_average, spectrogram)
+from .dsp import (HampelConfig, _is_int, _non_negative, _positive, _require,
+                  hampel_filter, moving_average, spectrogram)
 from .trace import RssTrace
 
 ALPHA_SIDECAR_MAGIC = "# rfsense-alpha-v1"
@@ -42,6 +42,7 @@ class SpeedConfig:
         _positive(window_s=self.window_s, hop_s=self.hop_s,
                   search_interval_s=self.search_interval_s)
         _require(">= 1", lambda v: 1 <= v < math.inf, smoothing_window=self.smoothing_window)
+        _require("an integer >= 2", lambda v: _is_int(v) and v >= 2, nfft=self.nfft)
         if self.crossing_threshold_hz is not None:  # +inf: every window is below
             _require("positive", lambda v: v > 0,
                      crossing_threshold_hz=self.crossing_threshold_hz)

@@ -183,6 +183,18 @@ class TestConfigValues:
         assert err.startswith(f"error: bad {section}.{key}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [0, 1, -4096])
+    def test_speed_nfft_below_2_exits_2(self, value, vitals_dir, calibrated,
+                                        crossing_files, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speed": {"nfft": value}}))
+        args = self.command("speed", vitals_dir, calibrated, crossing_files,
+                            tmp_path / "out")
+        assert run(args + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad speed config: nfft must be an integer >= 2, not {value}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("rx, what", [
         ({"0": 1.0}, "bad link.rx config: need a JSON array, not {'0': 1.0}"),
         ([1.0], "bad link config: tx and rx must be (x, y) points"),
@@ -966,6 +978,17 @@ class TestOversizedDurations:
         self.check(["simulate", kind, "--duration", duration], 1,
                    f"duration_s * fs is {count}, not a sample count up to 2**62",
                    tmp_path, capsys)
+
+    def test_duration_no_memory_holds_exits_1(self, tmp_path, capsys):
+        """4.49e17 samples is a sample count, but no memory holds it: numpy
+        refuses the 3 EiB request at once, without touching memory, and the
+        refusal is one error line, not a traceback."""
+        assert run(["simulate", "vitals", "--duration", "1e15",
+                    "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 3.12 EiB ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestManifest:

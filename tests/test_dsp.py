@@ -292,7 +292,7 @@ class TestHampel:
 
     def test_peak_memory_of_a_long_series_is_bounded(self):
         """600 s at 449 Hz, gesture-free: the output is 2.1 MiB, and the
-        interior screen works in spans of 65,536 centres, not on 11 arrays
+        interior screen works in spans of 16,384 centres, not on 11 arrays
         of the whole series (23.4 MiB)."""
         x = simulate_vitals(VitalSignsProfile(breathing_amplitude_db=0.0,
                                               pulse_amplitude_db=0.0),

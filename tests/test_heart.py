@@ -2,6 +2,8 @@
 superposition vs the single-harmonic baseline, motion suppression, and
 stream/window bit-equality against a full-periodogram oracle."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,7 +28,7 @@ from rfsense.heart import (
     estimate_window_single_harmonic,
     stream_heart_rate,
 )
-from rfsense.sim import NoiseModel, VitalSignsProfile, simulate_vitals
+from rfsense.sim import NoiseModel, VitalSignsProfile, make_corpora, simulate_vitals
 from rfsense.trace import make_trace
 
 FS = 449.0
@@ -434,19 +436,119 @@ class TestBlockKernel:
         assert (rows, summed.shape[0]) == (16, 16)
         assert peak < windows.nbytes + 2 * 2 ** 20
 
-    def test_blocks_hold_16_windows_of_65536_points(self, monkeypatch):
-        """At nfft = 65,536 a block holds 16 windows: a 300 s stream at 20 s
-        windows has 281 full windows, so 17 blocks of 16 and one of 9."""
-        rows = []
+    @pytest.mark.parametrize("workers, rows", [
+        (1, [16] * 17 + [9]), (2, [8] * 35 + [1]), (3, [5] * 56 + [1]),
+        (32, [1] * 281)])
+    def test_the_workers_hold_16_windows_of_65536_points(self, monkeypatch, workers,
+                                                         rows):
+        """At nfft = 65,536 the workers' tasks hold 16 windows at most: a 300 s
+        stream at 20 s windows has 281 full windows, so one worker takes 17
+        blocks of 16 and one of 9, two take 35 of 8 and one of 1, and more
+        workers than 16 are not started."""
+        tasks, pools = [], []
         refresh = heart.hampel_refresh_edges
+        pool = heart.ThreadPoolExecutor
 
         def spy(x, full, starts, *rest):
-            rows.append(len(starts))
+            tasks.append(len(starts))
             return refresh(x, full, starts, *rest)
 
+        def pool_spy(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(heart, "_workers", lambda: workers)
         monkeypatch.setattr(heart, "hampel_refresh_edges", spy)
+        monkeypatch.setattr(heart, "ThreadPoolExecutor", pool_spy)
         tr = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=4), 300.0)
         ests = stream_heart_rate(tr, CFG)
         windows = sum(e.status != STATUS_INSUFFICIENT for e in ests)
         assert (CFG.window_s, CFG.nfft, windows) == (20.0, 65536, 281)
-        assert rows == [16] * 17 + [9]
+        assert pools == [min(workers, 16)]
+        # the workers start their tasks in order, but may reach the spy out of it
+        assert sorted(tasks, reverse=True) == rows
+
+
+@pytest.fixture(scope="module")
+def seed0_vitals():
+    """The first 62 s of each seed-0 evaluation vitals trace."""
+    return [make_trace(tr.rss_db[:int(62 * FS)], FS) for tr in make_corpora(0)["vitals"]]
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("window_s, vitals", [(10.0, 0), (20.0, 1), (40.0, 2)])
+    @pytest.mark.parametrize("second_harmonic", [True, False])
+    def test_estimates_do_not_depend_on_the_worker_count(
+            self, monkeypatch, rest_and_motion, seed0_vitals, window_s, vitals,
+            second_harmonic):
+        """One, two and three workers on tasks of one row, of three rows
+        shared among them and of the default 16 shared among them give the
+        estimates of one worker on the default block, field for field. With
+        a bound of one row no second worker starts, so one run covers all
+        three counts there; each window length takes one seed-0 trace."""
+        rest, motion = rest_and_motion
+        thd = calibrate_threshold(rest, HeartRateConfig(window_s=window_s))
+        cfg = HeartRateConfig(window_s=window_s, psd_threshold=thd)
+        default = dsp._BLOCK
+        for trace in (rest, motion, seed0_vitals[vitals]):
+            monkeypatch.setattr(dsp, "_BLOCK", default)
+            monkeypatch.setattr(heart, "_workers", lambda: 1)
+            want = [fields(e) for e in stream_heart_rate(trace, cfg, second_harmonic)]
+            assert STATUS_ESTIMATE in {w[3] for w in want}
+            for bound, workers in [(1, 3), (3 * cfg.nfft, 1), (3 * cfg.nfft, 2),
+                                   (3 * cfg.nfft, 3), (default, 2), (default, 3)]:
+                monkeypatch.setattr(dsp, "_BLOCK", bound)
+                monkeypatch.setattr(heart, "_workers", lambda: workers)
+                got = stream_heart_rate(trace, cfg, second_harmonic)
+                assert [fields(e) for e in got] == want, (bound, workers)
+
+    def test_eight_workers_switching_every_microsecond(self, monkeypatch, rest_and_motion):
+        """More workers than cores on one-row tasks, with the interpreter
+        switching threads as often as it can: a task that wrote to an array
+        another task reads, or a result gathered out of order, would change
+        an estimate."""
+        motion = rest_and_motion[1]
+        monkeypatch.setattr(heart, "_workers", lambda: 1)
+        want = [fields(e) for e in stream_heart_rate(motion, CFG)]
+        monkeypatch.setattr(dsp, "_BLOCK", 8 * CFG.nfft)
+        monkeypatch.setattr(heart, "_workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = stream_heart_rate(motion, CFG)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [fields(e) for e in got] == want
+
+    def test_no_worker_outlives_the_stream(self, monkeypatch, rest_and_motion):
+        monkeypatch.setattr(heart, "_workers", lambda: 2)
+        before = threading.active_count()
+        assert stream_heart_rate(rest_and_motion[0], CFG)
+        assert threading.active_count() == before
+
+    def test_a_failing_block_reaches_the_caller_and_the_pool_is_joined(
+            self, monkeypatch, rest_and_motion):
+        monkeypatch.setattr(heart, "_workers", lambda: 2)
+        ran_on = []
+
+        def fail(*args):
+            ran_on.append(threading.current_thread())
+            raise ValueError("block failed")
+
+        monkeypatch.setattr(heart, "_band_spectra", fail)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^block failed$"):
+            stream_heart_rate(rest_and_motion[0], CFG)
+        assert threading.active_count() == before
+        assert ran_on and threading.main_thread() not in ran_on
+        assert not any(t.is_alive() for t in ran_on)
+
+    def test_workers_are_the_cpus_the_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(heart.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert heart._workers() == 3
+        monkeypatch.delattr(heart.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(heart.os, "cpu_count", lambda: 4)
+        assert heart._workers() == 4
+        monkeypatch.setattr(heart.os, "cpu_count", lambda: None)
+        assert heart._workers() == 1

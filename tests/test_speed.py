@@ -90,6 +90,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be {need}, not {value!r}$"):
             SpeedConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [0, 1, -4096, True, 2.5, 4096.0, 10 ** 400])
+    def test_nfft_must_be_an_integer_of_at_least_2(self, value):
+        # 0 and 1 failed only inside spectrogram, with a message naming no
+        # field; a bool or a float slipped through to np.fft
+        with pytest.raises(ValueError, match=f"^nfft must be an integer >= 2, not {value!r}$"):
+            SpeedConfig(nfft=value)
+
+    def test_nfft_of_2_is_accepted(self):
+        assert SpeedConfig(nfft=2).nfft == 2
+
     def test_event_rejects_negative_frequency(self):
         with pytest.raises(ValueError):
             CrossingEvent(1.0, -0.5, 1.0)
