@@ -372,15 +372,19 @@ def _pair_conjugates(poles: np.ndarray) -> list[tuple[complex, complex]]:
     return pairs
 
 
-def _sos_from_pairs(pole_pairs, zero_pairs, gain: float) -> np.ndarray:
-    sos = []
-    for idx, (pp, zp) in enumerate(zip(pole_pairs, zero_pairs)):
-        b = np.real(np.poly(list(zp)))
-        a = np.real(np.poly(list(pp)))
-        if idx == 0:
-            b = b * gain
-        sos.append(np.concatenate([b, a]))
-    return np.asarray(sos)
+def _butterworth(analog: np.ndarray, zeros: tuple, f_unit_hz: float,
+                 fs: float) -> IirFilter:
+    """The analog poles mapped by the bilinear transform, one biquad per
+    conjugate pair with the two `zeros`, scaled to unit gain at f_unit_hz."""
+    b = np.real(np.poly(zeros))
+    sos = np.asarray([np.concatenate([b, np.real(np.poly(pair))])
+                      for pair in _pair_conjugates(_bilinear_poles(analog, fs))])
+    sos[0, :3] *= 1.0 / abs(sos_response(sos, [f_unit_hz], fs)[0])
+    return IirFilter(sos)
+
+
+def _check_order(**orders) -> None:
+    _require("2, 4, 6 or 8", lambda v: v in (2, 4, 6, 8), **orders)
 
 
 def butterworth_lowpass(order: int, cutoff_hz: float, fs: float) -> IirFilter:
@@ -389,18 +393,11 @@ def butterworth_lowpass(order: int, cutoff_hz: float, fs: float) -> IirFilter:
     Designed as an analog prototype scaled to the prewarped cutoff and mapped
     by the bilinear transform, so the -3 dB point lands exactly on cutoff_hz.
     """
-    _check_order(order)
+    _check_order(order=order)
     if not 0 < cutoff_hz < fs / 2:
         raise ValueError(f"cutoff {cutoff_hz} Hz outside (0, fs/2)")
     wc = 2.0 * fs * np.tan(np.pi * cutoff_hz / fs)
-    analog = wc * _prototype_poles(order)
-    zpoles = _bilinear_poles(analog, fs)
-    pole_pairs = _pair_conjugates(zpoles)
-    zero_pairs = [(-1.0, -1.0)] * len(pole_pairs)
-    sos = _sos_from_pairs(pole_pairs, zero_pairs, 1.0)
-    gain = 1.0 / abs(sos_response(sos, [0.0], fs)[0])
-    sos[0, :3] *= gain
-    return IirFilter(sos)
+    return _butterworth(wc * _prototype_poles(order), (-1.0, -1.0), 0.0, fs)
 
 
 def butterworth_bandpass(order: int, low_hz: float, high_hz: float, fs: float) -> IirFilter:
@@ -410,7 +407,7 @@ def butterworth_bandpass(order: int, low_hz: float, high_hz: float, fs: float) -
     and mapped by the bilinear transform with prewarped edges, so both band
     edges sit exactly at -3 dB.
     """
-    _check_order(order)
+    _check_order(order=order)
     if not 0 < low_hz < high_hz < fs / 2:
         raise ValueError(f"band ({low_hz}, {high_hz}) Hz invalid for fs={fs}")
     n = order // 2
@@ -422,21 +419,10 @@ def butterworth_bandpass(order: int, low_hz: float, high_hz: float, fs: float) -
         bp = bw * p
         disc = np.sqrt(bp * bp - 4.0 * w0sq)
         analog.extend([(bp + disc) / 2.0, (bp - disc) / 2.0])
-    zpoles = _bilinear_poles(np.asarray(analog), fs)
-    pole_pairs = _pair_conjugates(zpoles)
+    f_center = fs / np.pi * np.arctan(np.sqrt(w0sq) / (2.0 * fs))
     # n zeros at z=+1 (from the n analog zeros at s=0) and n at z=-1 (from
     # the implicit zeros at infinity): one of each per biquad.
-    zero_pairs = [(1.0, -1.0)] * len(pole_pairs)
-    sos = _sos_from_pairs(pole_pairs, zero_pairs, 1.0)
-    f_center = fs / np.pi * np.arctan(np.sqrt(w0sq) / (2.0 * fs))
-    gain = 1.0 / abs(sos_response(sos, [f_center], fs)[0])
-    sos[0, :3] *= gain
-    return IirFilter(sos)
-
-
-def _check_order(order: int) -> None:
-    if order not in (2, 4, 6, 8):
-        raise ValueError(f"supported orders are 2, 4, 6, 8; got {order}")
+    return _butterworth(np.asarray(analog), (1.0, -1.0), f_center, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +435,12 @@ class Psd:
     """One-sided power spectral density.
 
     frequencies run uniformly from 0 to Nyquist; `power` is a density scaled
-    so that sum(power) * df equals the mean square of the mean-removed,
-    Hann-windowed signal (Parseval).
+    so that sum(power) times the bin spacing equals the mean square of the
+    mean-removed, Hann-windowed signal (Parseval).
     """
 
     frequencies: np.ndarray
     power: np.ndarray
-
-    @property
-    def df(self) -> float:
-        return float(self.frequencies[1] - self.frequencies[0])
 
 
 def next_pow2(n: int) -> int:

@@ -23,6 +23,7 @@ from . import classifiers as _clf
 from .dsp import (
     HampelConfig,
     IirFilter,
+    _check_order,
     _finite,
     _is_int,
     _non_negative,
@@ -72,8 +73,7 @@ class SegmentationConfig:
                   lowpass_cutoff_hz=self.lowpass_cutoff_hz,
                   mean_window_s=self.mean_window_s)
         _non_negative(merge_gap_s=self.merge_gap_s, guard_s=self.guard_s)
-        _require("2, 4, 6 or 8", lambda v: v in (2, 4, 6, 8),
-                 lowpass_order=self.lowpass_order)
+        _check_order(lowpass_order=self.lowpass_order)
         _require("in [0, 1)", lambda v: 0 <= v < 1, trim_fraction=self.trim_fraction)
         _require("finite and >= 1", lambda v: 1 <= v < math.inf,
                  min_prominence=self.min_prominence)
@@ -309,6 +309,7 @@ class TrainedModel:
     state: object    # KnnModel | LinearSvmModel | RandomForestModel
 
 
+# each kind's fixed hyperparameters, which model.json stores
 DEFAULT_HYPERPARAMETERS = {
     "knn": {"k": 5},
     "linear_svm": {"lam": 1e-3, "epochs": 40},
@@ -331,7 +332,7 @@ def _label_indices(data) -> np.ndarray:
     return np.array([GESTURE_LABELS.index(label) for _, label in data], dtype=np.int64)
 
 
-def train(data, kind: str, seed: int = 0, **hyper) -> TrainedModel:
+def train(data, kind: str, seed: int = 0) -> TrainedModel:
     """Fit a classifier on (FeatureVector, label) pairs; deterministic per seed."""
     if kind not in CLASSIFIER_KINDS:
         raise ValueError(f"kind must be one of {CLASSIFIER_KINDS}")
@@ -348,7 +349,6 @@ def train(data, kind: str, seed: int = 0, **hyper) -> TrainedModel:
     mean, scale = _standardize(X)
     Xz = (X - mean) / scale
     params = dict(DEFAULT_HYPERPARAMETERS[kind])
-    params.update(hyper)
     n_classes = len(GESTURE_LABELS)
     if kind == "knn":
         state = _clf.knn_fit(Xz, y, n_classes, **params)

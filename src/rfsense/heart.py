@@ -65,8 +65,7 @@ class HeartRateConfig:
                       sample_rate_hz=self.sample_rate_hz)
         # the checks butterworth_bandpass makes, and a passband that holds
         # the whole heart-rate band
-        dsp._require("2, 4, 6 or 8", lambda v: v in (2, 4, 6, 8),
-                     bandpass_order=self.bandpass_order)
+        dsp._check_order(bandpass_order=self.bandpass_order)
         if not 0.0 < self.bandpass_low_hz <= self.f_min_hz:
             raise ValueError("need 0 < bandpass_low_hz <= f_min_hz")
         if not self.bandpass_high_hz < self.sample_rate_hz / 2.0:

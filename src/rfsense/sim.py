@@ -169,6 +169,9 @@ def simulate_vitals(profile: VitalSignsProfile, noise: NoiseModel, duration_s: f
         raise ValueError(f"pulse_width_s {profile.pulse_width_s!r} is below one "
                          f"sample period (1/{fs!r} s)")
     n = _sample_count("duration_s * fs", duration_s * fs)
+    if n == 0:
+        raise ValueError(f"duration_s * fs is {duration_s * fs!r}, "
+                         "which rounds to 0 samples")
     t = np.arange(n) / fs
     pts = profile.heart_rate_points()
     hr = np.interp(t, [p[0] for p in pts], [p[1] for p in pts])
@@ -227,6 +230,9 @@ def simulate_crossing(geom: LinkGeometry, path: WalkPath, noise: NoiseModel,
     if not 0.0 <= cross_t <= path.duration_s:
         raise ValueError("path does not cross the link within the trace duration")
     n = _sample_count("duration_s * fs", path.duration_s * fs)
+    if n == 0:
+        raise ValueError(f"duration_s * fs is {path.duration_s * fs!r}, "
+                         "which rounds to 0 samples")
     t = np.arange(n) / fs
     h = _crossing_channel(geom, path, body, t)
     rss = 20.0 * np.log10(np.maximum(np.abs(h), 1e-9)) + DEFAULT_BASELINE_DB
@@ -361,83 +367,40 @@ VITALS_HR_PROFILES = (
 )
 
 
-def _with_id(trace: RssTrace, trace_id: str) -> RssTrace:
-    """`trace` with `trace_id` set in its extras, which every simulator
-    builds afresh for its trace."""
-    trace.metadata.extras["trace_id"] = trace_id
-    return trace
-
-
-def _vitals_corpus(seeds: list, fs: float) -> list:
-    vitals = []
-    for i, (profile_pts, seed) in enumerate(zip(VITALS_HR_PROFILES, seeds)):
-        profile = VitalSignsProfile(heart_rate_bpm=profile_pts)
-        # 0.02 dB receiver noise puts the 0.005 dB pulse where both window
-        # regimes are visible: 10 s windows are peak-jitter limited, 40 s
-        # windows lag the drifting rate
-        noise = NoiseModel(gaussian_sigma_db=0.02, seed=seed)
-        trace = simulate_vitals(profile, noise, duration_s=300.0, fs=fs)
-        vitals.append(_with_id(trace, f"vitals_{i}"))
-    return vitals
-
-
-def _gesture_corpus(split: str, count: int, seeds: list, fs: float) -> list:
-    """`count` traces per label; each takes a noise seed, then a waveform seed."""
-    seeds = iter(seeds)
-    bucket = []
-    for label in GESTURE_LABELS:
-        for i in range(count):
-            noise = NoiseModel(seed=next(seeds))
-            trace = simulate_gesture(DEFAULT_TEMPLATES[label], noise, fs=fs,
-                                     seed=next(seeds))
-            bucket.append(_with_id(trace, f"gesture_{split}_{label}_{i:02d}"))
-    return bucket
-
-
-def _crossing_corpus(seeds: list, fs: float) -> list:
-    seeds = iter(seeds)
-    crossing = []
-    for v in CROSSING_SPEEDS:
-        for pos in CROSSING_POSITIONS:
-            for ang in CROSSING_ANGLES:
-                path = WalkPath(crossing_m=pos, angle_deg=ang, speed_mps=v,
-                                start_offset_m=-v * CROSSING_DURATION_S / 2.0,
-                                duration_s=CROSSING_DURATION_S)
-                noise = NoiseModel(seed=next(seeds))
-                trace = simulate_crossing(CROSSING_LINK, path, noise, fs=fs)
-                crossing.append(_with_id(
-                    trace, f"crossing_v{v:.1f}_p{pos:.3f}_a{int(ang)}"))
-    return crossing
-
-
 class _Corpora(Mapping):
-    """Read-only map from corpus name to its list of traces; each list is
-    built by its zero-argument builder on first read and then kept.
+    """Read-only map from corpus name to its list of traces. Each corpus is
+    specified as an ordered map from trace_id to a zero-argument simulator
+    call; the calls run on the corpus's first read, each trace gets its
+    trace_id in its extras (which every simulator builds afresh for its
+    trace), and the list is then kept.
 
     Iteration, `values()` and `items()` read through `[]`, so walking the
     map builds every corpus.
     """
 
-    def __init__(self, builders: dict):
-        self._builders = builders
+    def __init__(self, specs: dict):
+        self._specs = specs
         self._built: dict = {}
 
     def __getitem__(self, name: str) -> list:
         if name not in self._built:
-            self._built[name] = self._builders[name]()
+            self._built[name] = [simulate() for simulate in self._specs[name].values()]
+            for trace, trace_id in zip(self._built[name], self._specs[name]):
+                trace.metadata.extras["trace_id"] = trace_id
         return self._built[name]
 
+    # Mapping's default reads the corpus, which would simulate it
     def __contains__(self, name) -> bool:
-        return name in self._builders
+        return name in self._specs
 
     def __iter__(self):
-        return iter(self._builders)
+        return iter(self._specs)
 
     def __len__(self) -> int:
-        return len(self._builders)
+        return len(self._specs)
 
 
-def make_corpora(seed: int, fs: float = DEFAULT_SAMPLE_RATE_HZ) -> Mapping:
+def make_corpora(seed: int) -> Mapping:
     """Deterministic evaluation corpora: vitals, gesture train/test, crossing.
 
     Every trace seed is drawn here, in the order of the names, so each
@@ -448,18 +411,32 @@ def make_corpora(seed: int, fs: float = DEFAULT_SAMPLE_RATE_HZ) -> Mapping:
     """
     root_rng = np.random.default_rng(seed)
 
-    def draw(count: int) -> list:
-        return [int(root_rng.integers(0, 2 ** 63)) for _ in range(count)]
+    def next_seed() -> int:
+        return int(root_rng.integers(0, 2 ** 63))
 
-    n_labels = len(GESTURE_LABELS)
-    vitals = draw(len(VITALS_HR_PROFILES))
-    train = draw(2 * n_labels * GESTURES_PER_LABEL_TRAIN)
-    test = draw(2 * n_labels * GESTURES_PER_LABEL_TEST)
-    crossing = draw(len(CROSSING_SPEEDS) * len(CROSSING_POSITIONS) * len(CROSSING_ANGLES))
-    return _Corpora({
-        "vitals": partial(_vitals_corpus, vitals, fs),
-        "gesture_train": partial(_gesture_corpus, "train", GESTURES_PER_LABEL_TRAIN,
-                                 train, fs),
-        "gesture_test": partial(_gesture_corpus, "test", GESTURES_PER_LABEL_TEST,
-                                test, fs),
-        "crossing": partial(_crossing_corpus, crossing, fs)})
+    specs = {name: {} for name in ("vitals", "gesture_train", "gesture_test", "crossing")}
+    for i, profile_pts in enumerate(VITALS_HR_PROFILES):
+        profile = VitalSignsProfile(heart_rate_bpm=profile_pts)
+        # 0.02 dB receiver noise puts the 0.005 dB pulse where both window
+        # regimes are visible: 10 s windows are peak-jitter limited, 40 s
+        # windows lag the drifting rate
+        noise = NoiseModel(gaussian_sigma_db=0.02, seed=next_seed())
+        specs["vitals"][f"vitals_{i}"] = partial(simulate_vitals, profile, noise, 300.0)
+    # each gesture trace takes a noise seed, then a waveform seed
+    for split, count in (("train", GESTURES_PER_LABEL_TRAIN),
+                         ("test", GESTURES_PER_LABEL_TEST)):
+        for label in GESTURE_LABELS:
+            for i in range(count):
+                noise = NoiseModel(seed=next_seed())
+                specs[f"gesture_{split}"][f"gesture_{split}_{label}_{i:02d}"] = partial(
+                    simulate_gesture, DEFAULT_TEMPLATES[label], noise, seed=next_seed())
+    for v in CROSSING_SPEEDS:
+        for pos in CROSSING_POSITIONS:
+            for ang in CROSSING_ANGLES:
+                path = WalkPath(crossing_m=pos, angle_deg=ang, speed_mps=v,
+                                start_offset_m=-v * CROSSING_DURATION_S / 2.0,
+                                duration_s=CROSSING_DURATION_S)
+                noise = NoiseModel(seed=next_seed())
+                specs["crossing"][f"crossing_v{v:.1f}_p{pos:.3f}_a{int(ang)}"] = partial(
+                    simulate_crossing, CROSSING_LINK, path, noise)
+    return _Corpora(specs)

@@ -206,8 +206,9 @@ def _format_float(x: float) -> str:
 
 
 def _header_escape(v: str) -> str:
-    if "," in v or "=" in v or "\n" in v:
-        raise ValueError(f"metadata value {v!r} may not contain ',', '=' or newlines")
+    # load_trace reads text in universal-newline mode, so "\r" ends a line too
+    if any(c in v for c in ",=\n\r"):
+        raise ValueError(f"metadata text {v!r} may not contain ',', '=' or line breaks")
     return v
 
 
@@ -243,6 +244,8 @@ def save_trace(trace: RssTrace, path: str | os.PathLike) -> None:
 
     Scalar ground truth is stored on every row, so an empty trace that has
     any raises ValueError: its file would have no row to hold the value.
+    So does header text with ',', '=' or a line break, or an extras key named
+    like a header field: the file would read back as another trace.
     """
     meta = trace.metadata
     gt = trace.ground_truth
@@ -253,7 +256,9 @@ def save_trace(trace: RssTrace, path: str | os.PathLike) -> None:
     if gt.label is not None:
         pairs.append(("gt_label", _header_escape(gt.label)))
     for key in sorted(meta.extras):
-        pairs.append((key, _header_escape(str(meta.extras[key]))))
+        if key in ("sample_rate_hz", "center_freq_hz", "gt_label"):
+            raise ValueError(f"extras key {key!r} would be read back as a header field")
+        pairs.append((_header_escape(str(key)), _header_escape(str(meta.extras[key]))))
 
     names = ["t_s", "rss_db"]
     series = [trace.timestamps, trace.rss_db]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfsense import cli, gesture
-from rfsense.sim import (DEFAULT_TEMPLATES, NoiseModel, VitalSignsProfile, _with_id,
+from rfsense.sim import (DEFAULT_TEMPLATES, NoiseModel, VitalSignsProfile,
                          simulate_gesture, simulate_vitals)
 from rfsense.trace import load_trace, make_trace, save_trace
 
@@ -93,10 +93,14 @@ def gesture_corpus(tmp_path_factory):
 @pytest.fixture
 def tiny_corpora(monkeypatch):
     """`simulate corpora` on one vitals and one gesture trace, no crossings."""
-    def make(seed, fs=449.0):
+    def with_id(trace, trace_id):
+        trace.metadata.extras["trace_id"] = trace_id
+        return trace
+
+    def make(seed):
         noise = NoiseModel(seed=seed)
-        vit = _with_id(simulate_vitals(VitalSignsProfile(), noise, 10.0), "vitals_0")
-        ges = _with_id(
+        vit = with_id(simulate_vitals(VitalSignsProfile(), noise, 10.0), "vitals_0")
+        ges = with_id(
             simulate_gesture(DEFAULT_TEMPLATES["punch"], noise, seed=seed),
             "gesture_punch_00")
         return {"vitals": [vit], "gesture_train": [ges],
@@ -978,6 +982,13 @@ class TestOversizedDurations:
         self.check(["simulate", kind, "--duration", duration], 1,
                    f"duration_s * fs is {count}, not a sample count up to 2**62",
                    tmp_path, capsys)
+
+    @pytest.mark.parametrize("kind", ["vitals", "crossing"])
+    def test_duration_under_half_a_sample_exits_1(self, kind, tmp_path, capsys):
+        """vitals ended in an IndexError traceback; crossing left an empty -o
+        directory, since save_trace refused the empty trace."""
+        self.check(["simulate", kind, "--duration", "0.001"], 1,
+                   "duration_s * fs is 0.449, which rounds to 0 samples", tmp_path, capsys)
 
     def test_duration_no_memory_holds_exits_1(self, tmp_path, capsys):
         """4.49e17 samples is a sample count, but no memory holds it: numpy

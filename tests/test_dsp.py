@@ -5,6 +5,8 @@ magnitude response of the analog prototype mapped through the bilinear
 transform, computed here independently of the design code.
 """
 
+import hashlib
+import math
 import re
 import tracemalloc
 
@@ -394,11 +396,33 @@ class TestButterworth:
         assert len(butterworth_lowpass(6, 90.0, 449.0).sos) == 3
 
     def test_unsupported_order_rejected(self):
-        for bad in (1, 3, 5, 7, 0, -2):
-            with pytest.raises(ValueError):
+        for bad in (1, 3, 5, 7, 0, -2, 4.5, math.nan, "4"):
+            msg = re.escape(f"order must be 2, 4, 6 or 8, not {bad!r}")
+            with pytest.raises(ValueError, match=f"^{msg}$"):
                 butterworth_bandpass(bad, 0.8, 5.0, 449.0)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{msg}$"):
                 butterworth_lowpass(bad, 90.0, 449.0)
+
+    # sha256 of sos.tobytes() per order, recorded before the two designers
+    # shared one bilinear, pairing and gain path: (90 Hz lowpass, 0.8-5 Hz
+    # bandpass) at 449 Hz, the designs of the gesture and heart pipelines
+    SOS_SHA256 = {
+        2: ("2c25bfb893b097dbfab4622ef53a12e1e1e1fc88c97376ce7b625b0a075912a5",
+            "e59ec50d52a5d402ce2aa84751cb9f503c6191de5b3ce1b56188b7dd93ab459c"),
+        4: ("fc64e905f98fb59538e480f67a6d4bfe82d0ce6d9ddb882a2155583b164f8e88",
+            "8595dbd72efa052ae66d5aeb80e9522df137016911a2da1492f83f0676479f45"),
+        6: ("816744c135359d7665de460e2ca1276c2a0d5ba253759540edcb43b74d923899",
+            "a35b731676e5ad189b2d6ad9b6be665a696f5165dd3f12a433b82e48d4f20db9"),
+        8: ("c9a3438497025eb90878f139a3d0a71bc3b9b937d92c6cf4731d61dd149033d2",
+            "0a47674f099d3bccd750da66945113c1e37cb2d93bcb79a8e470229afc67d0b7"),
+    }
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_design_bytes_are_pinned(self, order):
+        lp = butterworth_lowpass(order, 90.0, 449.0).sos
+        bp = butterworth_bandpass(order, 0.8, 5.0, 449.0).sos
+        got = tuple(hashlib.sha256(sos.tobytes()).hexdigest() for sos in (lp, bp))
+        assert got == self.SOS_SHA256[order]
 
     def test_band_limits_validated(self):
         with pytest.raises(ValueError):
@@ -452,14 +476,16 @@ class TestPeriodogram:
         x = rng.normal(0.0, 2.0, 1000)
         psd = periodogram(x, fs=449.0)
         y = (x - x.mean()) * np.hanning(len(x))
-        np.testing.assert_allclose(psd.power.sum() * psd.df, np.mean(y * y), rtol=1e-10)
+        df = psd.frequencies[1] - psd.frequencies[0]
+        np.testing.assert_allclose(psd.power.sum() * df, np.mean(y * y), rtol=1e-10)
 
     def test_white_noise_level(self):
         rng = np.random.default_rng(6)
         x = rng.normal(0.0, 1.0, 200_000)
         psd = periodogram(x, fs=100.0, nfft=next_pow2(len(x)))
         # Hann window scales the variance by mean(w^2) = 3/8.
-        assert abs(psd.power.sum() * psd.df - 0.375) < 0.05 * 0.375
+        df = psd.frequencies[1] - psd.frequencies[0]
+        assert abs(psd.power.sum() * df - 0.375) < 0.05 * 0.375
 
     def test_tone_at_bin_center_peaks_there(self):
         fs, n = 449.0, 4096
@@ -473,7 +499,7 @@ class TestPeriodogram:
         assert len(psd.frequencies) == 512 // 2 + 1
         assert psd.frequencies[0] == 0.0
         assert psd.frequencies[-1] == pytest.approx(449.0 / 2)
-        assert psd.df == pytest.approx(449.0 / 512)
+        assert psd.frequencies[1] - psd.frequencies[0] == pytest.approx(449.0 / 512)
 
     def test_mean_removal_kills_dc(self):
         psd = periodogram(np.full(500, 7.3), fs=100.0)

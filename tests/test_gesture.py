@@ -19,6 +19,7 @@ from scipy.ndimage import maximum_filter1d
 from rfsense import classifiers as clf
 from rfsense import dsp, gesture
 from rfsense.gesture import (
+    DEFAULT_HYPERPARAMETERS,
     GESTURE_LABELS,
     EvaluationResult,
     FeatureVector,
@@ -440,6 +441,15 @@ def blob_dataset(seed, per_class=20, spread=0.5):
     return data
 
 
+def train_with(data, kind, seed=0, **params):
+    """train() with `params` in place of the kind's default hyperparameters,
+    which train takes no arguments to change."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(DEFAULT_HYPERPARAMETERS, kind,
+                   {**DEFAULT_HYPERPARAMETERS[kind], **params})
+        return train(data, kind, seed=seed)
+
+
 class TestClassifiers:
     @pytest.mark.parametrize("kind", ["knn", "linear_svm", "random_forest"])
     def test_separable_blobs_holdout(self, kind):
@@ -546,7 +556,7 @@ class TestKnnBlocks:
     @pytest.mark.parametrize("k", [1, 5, 7])
     def test_gesture_features_match_oracle(self, gesture_features, monkeypatch,
                                            block, k):
-        model = train(gesture_features[::2], "knn", k=k)
+        model = train_with(gesture_features[::2], "knn", k=k)
         X = np.stack([fv.values for fv, _ in gesture_features])
         Xz = (X - model.feature_mean) / model.feature_scale
         want = oracle_knn_predict(model.state, Xz)
@@ -613,7 +623,7 @@ class TestKnnBlocks:
 class TestEvaluate:
     def test_perfect_classifier_identity_confusion(self):
         data = blob_dataset(seed=9, per_class=6)
-        model = train(data, "knn", k=1)
+        model = train_with(data, "knn", k=1)
         result = evaluate(model, data)
         np.testing.assert_allclose(result.confusion, np.eye(8), atol=1e-12)
         assert result.mean_accuracy == pytest.approx(1.0)
@@ -771,7 +781,7 @@ class TestPersistence:
     def test_integer_matrix_entries_load_as_floats(self, tmp_path):
         """JSON ints, one too large for int64, become float64 points."""
         path = tmp_path / "m.json"
-        model = train(blob_dataset(seed=14, per_class=4), "knn", k=1)
+        model = train_with(blob_dataset(seed=14, per_class=4), "knn", k=1)
         save_model(model, path)
         doc = json.loads(path.read_text())
         doc["state"]["points"] = [[round(v) for v in row] for row in doc["state"]["points"]]
@@ -882,7 +892,7 @@ def small_models(tmp_path_factory):
     out = {}
     for kind, params in hyper.items():
         path = root / f"{kind}.json"
-        save_model(train(data, kind, seed=0, **params), path)
+        save_model(train_with(data, kind, **params), path)
         out[kind] = path.read_bytes()
     return out
 

@@ -282,6 +282,19 @@ class TestNonFiniteInputs:
         with refused("duration_s", value, "finite and positive"):
             simulate_vitals(VitalSignsProfile(), QUIET, duration_s=value)
 
+    @pytest.mark.parametrize("simulate", [
+        lambda d: simulate_vitals(VitalSignsProfile(), QUIET, d),
+        lambda d: simulate_crossing(LinkGeometry(), WalkPath(0.5, 90.0, 1.0, -d / 2, d),
+                                    QUIET),
+    ], ids=["vitals", "crossing"])
+    def test_duration_under_half_a_sample(self, simulate):
+        """0.001 s at 449 Hz rounds to no sample: vitals raised IndexError
+        and crossing built an empty trace that save_trace refused."""
+        with pytest.raises(ValueError, match=r"^duration_s \* fs is 0\.449, which "
+                                             "rounds to 0 samples$"):
+            simulate(0.001)
+        assert len(simulate(0.002)) == 1
+
     @pytest.mark.parametrize("name", ["pre_pad_s", "post_pad_s"])
     @pytest.mark.parametrize("value", [NAN, -1.0])
     def test_simulate_gesture_pads(self, name, value):

@@ -222,6 +222,25 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             save_trace(tr, tmp_path / "t.csv")
 
+    @pytest.mark.parametrize("extras", [{"a=b": "c"}, {"a,b": "c"}, {"a\nb": "c"},
+                                        {"a\rb": "c"}, {"a": "b\rc"}])
+    def test_extras_text_that_the_header_cannot_hold_rejected(self, tmp_path, extras):
+        """{"a=b": "c"} would read back as {"a": "b=c"}; a carriage return
+        ends the header line when it is read."""
+        p = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="may not contain ',', '=' or line breaks"):
+            save_trace(make_trace([0.0], extras=extras), p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("key", ["sample_rate_hz", "center_freq_hz", "gt_label"])
+    def test_extras_key_named_like_a_header_field_rejected(self, tmp_path, key):
+        """It would be read back as the rate, the carrier or the label."""
+        p = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=f"^extras key '{key}' would be read back "
+                                             "as a header field$"):
+            save_trace(make_trace([0.0], extras={key: "punch"}), p)
+        assert not p.exists()
+
     def test_missing_metadata_line_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("t_s,rss_db\n0.0,1.0\n")
