@@ -44,17 +44,19 @@ def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def knn_predict(model: KnnModel, X) -> np.ndarray:
     """Majority label of the k nearest training points by squared distance.
 
-    The (rows, points, features) difference array is built in blocks of at
-    most dsp._BLOCK elements: as many test rows as fit, and when one row's
-    slab against all points does not fit, one row against as many points as
-    fit. Each distance is still reduced over the same contiguous feature
-    axis, so the labels do not depend on the block size.
+    The (rows, points, features) difference array is built in slabs of at
+    most dsp._BLOCK // 8 elements (1 MiB): as many test rows as fit, and
+    when one row's slab against all points does not fit, one row against as
+    many points as fit. Each distance is still reduced over the same
+    contiguous feature axis, so the labels do not depend on the slab size.
+    A slab of a whole block was slower as well as larger.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     points = model.points
     n, F = points.shape
-    rows = max(1, dsp._BLOCK // max(1, n * F))
-    cols = n if n * F <= dsp._BLOCK else max(1, dsp._BLOCK // F)
+    slab = dsp._BLOCK // 8
+    rows = max(1, slab // max(1, n * F))
+    cols = n if n * F <= slab else max(1, slab // F)
     out = np.empty(len(X), dtype=np.int64)
     for lo in range(0, len(X), rows):
         blk = X[lo:lo + rows]

@@ -22,13 +22,12 @@ MAD_SCALE = 1.4826
 # Float64 elements per working block (8 MiB). It bounds, for any input
 # size, the windows hampel_filter's interior and edge paths take at once,
 # the temporaries of one span of its interior screen (a quarter block), the
-# padded windows of one spectrogram block and their power, the difference
-# slab of classifiers.knn_predict and the padded samples of the heart-rate
-# rows in flight on all workers at once.
+# padded windows of one spectrogram block and their power, and the padded
+# samples of the heart-rate rows in flight on all workers at once.
 # _psd_rows transforms a block one row at a time, so no block-sized complex
-# spectrum is held.
-# The moving statistics need no block: each holds at most three arrays of
-# the series' length at once.
+# spectrum is held. classifiers.knn_predict's difference slab is an eighth
+# of a block (1 MiB), which is also faster than a whole one. The passes
+# that walk a series in order (see _walk_block) take 1/128 of a block.
 _BLOCK = 1 << 20
 
 
@@ -180,11 +179,28 @@ def _shrunken_edges(x: np.ndarray, starts: np.ndarray, length: int,
     return edges[:len(starts)], edges[len(starts):, ::-1]
 
 
-def _cumsum0(x) -> np.ndarray:
-    """np.cumsum(x) behind a leading zero, written into one fresh array."""
+def _walk_block(window: int = 1) -> int:
+    """Positions per block of a pass that walks a series in order and
+    re-reads the window - 1 samples before each block: _BLOCK // 128 (64
+    KiB of float64), or window when that is longer, so that the re-read
+    samples never outnumber a block's own."""
+    return max(_BLOCK // 128, window, 1)
+
+
+def _cumsum0(x, start=None) -> np.ndarray:
+    """Running sums c of x in one fresh array, c[i + 1] = c[i] + x[i] added in
+    order from c[0] = start. With no start, c[0] is 0 and c[1:] is
+    np.cumsum(x), so c[1] is x[0] itself, -0.0 included. A series summed
+    piece by piece, each piece starting from the last sum of the one
+    before, therefore gets the bits of one np.cumsum over it."""
     c = np.empty(len(x) + 1)
-    c[0] = 0
-    np.cumsum(x, out=c[1:])
+    if start is None:
+        c[0] = 0
+        np.cumsum(x, out=c[1:])
+    else:
+        c[0] = start
+        c[1:] = x
+        np.cumsum(c, out=c)
     return c
 
 
@@ -531,7 +547,11 @@ def spectrogram(x, fs: float, window_s: float, hop_s: float,
     starts = np.arange(0, len(x) - win_n + 1, hop_n)
     windows = np.lib.stride_tricks.sliding_window_view(x, win_n)
     hann = np.hanning(win_n)
-    power = np.empty((nfft // 2 + 1, len(starts)))
+    try:
+        power = np.empty((nfft // 2 + 1, len(starts)))
+    except (ValueError, OverflowError, MemoryError):  # "array is too big" or no memory
+        raise MemoryError(f"nfft {nfft!r} is too large: a spectrogram of {nfft // 2 + 1} "
+                          f"bins by {len(starts)} windows does not fit in memory") from None
     step = max(1, _BLOCK // (nfft + len(power)))
     for lo in range(0, len(starts), step):
         cols = starts[lo:lo + step]
@@ -550,6 +570,12 @@ def moving_variance(x, window: int) -> np.ndarray:
 
     Element j covers x[j : j + window]; callers attribute it to the window
     end when aligning against the original series.
+
+    The cumulative sums of the centred series and of its squares are taken
+    in blocks of _walk_block(window) windows, each block's from the last
+    sums of the block before (see _cumsum0), so they have the bits of one
+    pass over the series. Besides the output, a block holds a few arrays
+    of its length plus window.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
@@ -557,31 +583,35 @@ def moving_variance(x, window: int) -> np.ndarray:
         raise ValueError("window must be >= 2")
     if n < window:
         raise ValueError("series shorter than window")
-    # Center for numerical stability; variance is shift-invariant. Each
-    # input is dropped once it has been used, so at most three series-length
-    # arrays are alive at once.
-    xc = x - x.mean()
-    c1 = _cumsum0(xc)
-    np.multiply(xc, xc, out=xc)
-    c2 = _cumsum0(xc)
-    del xc
-    s1 = c1[window:] - c1[:-window]
-    del c1
-    s2 = c2[window:] - c2[:-window]
-    del c2
-    s1 *= s1
-    s1 /= window
-    s2 -= s1
-    s2 /= window - 1
-    return np.maximum(s2, 0.0, out=s2)
+    mean = x.mean()  # centred for numerical stability; variance is shift-invariant
+    out = np.empty(n - window + 1)
+    step = _walk_block(window)
+    start1 = start2 = None
+    for j0 in range(0, len(out), step):
+        j1 = min(j0 + step, len(out))
+        xc = x[j0:j1 + window - 1] - mean
+        c1 = _cumsum0(xc, start1)  # the sums from index j0 on
+        np.multiply(xc, xc, out=xc)
+        c2 = _cumsum0(xc, start2)
+        start1, start2 = c1[j1 - j0], c2[j1 - j0]
+        s1 = c1[window:] - c1[:j1 - j0]
+        s2 = np.subtract(c2[window:], c2[:j1 - j0], out=out[j0:j1])
+        s1 *= s1
+        s1 /= window
+        s2 -= s1
+        s2 /= window - 1
+        np.maximum(s2, 0.0, out=s2)
+    return out
 
 
 def moving_average(x, window: int) -> np.ndarray:
     """Centered moving mean with shrunken edge windows; length preserved.
 
-    Whole windows come from one difference of the cumulative sum; only the
+    Whole windows come from differences of the cumulative sum, taken in
+    blocks of _walk_block(window) windows as in moving_variance; only the
     window - 1 edge samples (all of them when window > n) take their
-    window's bounds from index arrays.
+    window's bounds from index arrays, reading the sums of the first and
+    the last block.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
@@ -589,13 +619,24 @@ def moving_average(x, window: int) -> np.ndarray:
         raise ValueError("window must be >= 1")
     left = (window - 1) // 2
     right = window - 1 - left
-    c = _cumsum0(x)
     out = np.empty(n)
     whole = max(0, n + 1 - window)  # windows inside the series, centred at left + i
-    np.subtract(c[window:], c[:whole], out=out[left:left + whole])
-    out[left:left + whole] /= window
-    idx = np.concatenate((np.arange(min(left, n)), np.arange(left + whole, n)))
-    lo = np.maximum(idx - left, 0)
-    hi = np.minimum(idx + right + 1, n)
-    out[idx] = (c[hi] - c[lo]) / (hi - lo)
+    step = _walk_block(window)
+    start = None
+    for i0 in range(0, max(whole, 1), step):
+        i1 = min(i0 + step, whole)
+        c = _cumsum0(x[i0:min(i1 + window - 1, n)], start)  # the sums from index i0 on
+        start = c[i1 - i0]
+        np.subtract(c[window:], c[:i1 - i0], out=out[left + i0:left + i1])
+        out[left + i0:left + i1] /= window
+        if i0 == 0:
+            head = c
+
+    def edges(idx, c, c0):  # c holds the sums from index c0 on
+        lo = np.maximum(idx - left, 0)
+        hi = np.minimum(idx + right + 1, n)
+        out[idx] = (c[hi - c0] - c[lo - c0]) / (hi - lo)
+
+    edges(np.arange(min(left, n)), head, 0)
+    edges(np.arange(left + whole, n), c, i0)
     return out

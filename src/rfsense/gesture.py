@@ -30,6 +30,7 @@ from .dsp import (
     _positive,
     _require,
     _sample_count,
+    _walk_block,
     butterworth_lowpass,
     filter_forward,
     hampel_filter,
@@ -126,11 +127,28 @@ def preprocess(rss_db: np.ndarray, fs: float, cfg: SegmentationConfig) -> np.nda
     return x
 
 
-def _trailing_max(v: np.ndarray, window: int) -> np.ndarray:
-    """t[j] = max(v[max(0, j-window+1) .. j]). "nearest" pads with v[0],
-    which every prefix window holds, so the prefix gets the expanding max."""
-    window = min(window, len(v))
-    return maximum_filter1d(v, size=window, mode="nearest", origin=window - 1 - window // 2)
+def _history(v: np.ndarray, guard_n: int, long_n: int, a: int, b: int) -> np.ndarray:
+    """The max of v over the long_n samples that end guard_n before each j
+    in [a, b), for a >= guard_n + long_n - 1: one trailing maximum filter
+    over the slice of v those windows cover, each of them inside it."""
+    shifted = maximum_filter1d(v[a - guard_n - long_n + 1: b - guard_n], size=long_n,
+                               mode="nearest", origin=long_n - 1 - long_n // 2)
+    return shifted[long_n - 1:]
+
+
+def _active(v: np.ndarray, threshold: float, guard_n: int, long_n: int) -> np.ndarray:
+    """True at each j from guard_n + long_n - 1 on where v[j] exceeds
+    threshold times its history. Activity needs a fully populated history
+    window guard_n in the past; a thin reference (few variance samples)
+    fires on ordinary noise records. The mask is built in blocks of
+    _walk_block(long_n) samples, so no history of the series' length is
+    held."""
+    active = np.zeros(len(v), dtype=bool)
+    step = _walk_block(long_n)
+    for j0 in range(guard_n + long_n - 1, len(v), step):
+        j1 = min(j0 + step, len(v))
+        active[j0:j1] = v[j0:j1] > threshold * _history(v, guard_n, long_n, j0, j1)
+    return active
 
 
 def _apart(s0: np.ndarray, s1: np.ndarray, gap: int) -> np.ndarray:
@@ -158,15 +176,10 @@ def segment(trace: RssTrace, cfg: SegmentationConfig = SegmentationConfig()
     pre = preprocess(trace.rss_db, fs, cfg)
     w = cfg.short_window
     v = moving_variance(pre, w)            # v[j] covers samples [j, j+w)
-    hist = _trailing_max(v, cfg.long_window)
     guard_n = _sample_count("guard_s * fs", cfg.guard_s * fs)
-    # Activity needs a fully populated history window guard_n in the past; a
-    # thin reference (few variance samples) fires on ordinary noise records.
-    jmin = guard_n + cfg.long_window - 1
-    if jmin >= len(v):
+    if guard_n + cfg.long_window - 1 >= len(v):
         raise ValueError("trace too short to populate the variance history")
-    active = np.zeros(len(v), dtype=bool)
-    active[jmin:] = v[jmin:] > cfg.threshold * hist[jmin - guard_n: len(v) - guard_n]
+    active = _active(v, cfg.threshold, guard_n, cfg.long_window)
 
     # runs of active windows as sample-space intervals: window start of the
     # first hit .. window end of the last
@@ -187,7 +200,9 @@ def segment(trace: RssTrace, cfg: SegmentationConfig = SegmentationConfig()
     # minutes), so a bare ratio test cannot stay silent on gesture-free input.
     # Demand that a run's peak clears its onset-time history by a real margin;
     # genuine gestures exceed it by three to four orders of magnitude.
-    keep = peak > cfg.min_prominence * hist[s0 - guard_n]
+    onset = np.array([v[a - guard_n - cfg.long_window + 1: a - guard_n + 1].max()
+                      for a in s0])  # _history at each run start
+    keep = peak > cfg.min_prominence * onset
     s0, s1, peak = s0[keep], s1[keep], peak[keep]
 
     # The centered local mean tracks a strong burst and leaks variance up to

@@ -31,9 +31,11 @@ from functools import partial
 import numpy as np
 from scipy.special import fresnel
 
-from .dsp import _finite, _non_negative, _positive, _require, _sample_count
+from .dsp import (_finite, _non_negative, _positive, _require, _sample_count,
+                  _walk_block)
 from .gesture import GESTURE_LABELS
-from .trace import DEFAULT_SAMPLE_RATE_HZ, GroundTruth, RssTrace, make_trace
+from .trace import (DEFAULT_SAMPLE_RATE_HZ, GroundTruth, RssTrace, _nominal_axis_at,
+                    make_trace)
 
 DEFAULT_BASELINE_DB = -50.0
 
@@ -140,9 +142,16 @@ class NoiseModel:
             raise ValueError("impulse_prob must be a probability")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n samples of noise. The impulse starts' uniforms are drawn in
+        blocks of _walk_block() samples; the generator hands them out in
+        the same order as in one draw of n, so no series-length array of
+        them is held."""
         out = rng.normal(0.0, self.gaussian_sigma_db, n) if self.gaussian_sigma_db > 0 \
             else np.zeros(n)
-        starts = np.flatnonzero(rng.random(n) < self.impulse_prob)
+        step = _walk_block()
+        starts = np.concatenate([np.empty(0, dtype=np.intp)] + [
+            lo + np.flatnonzero(rng.random(min(step, n - lo)) < self.impulse_prob)
+            for lo in range(0, n, step)])
         if len(starts):
             lengths = rng.integers(1, IMPULSE_MAX_LEN + 1, len(starts))
             signs = rng.choice([-1.0, 1.0], len(starts))
@@ -172,18 +181,30 @@ def simulate_vitals(profile: VitalSignsProfile, noise: NoiseModel, duration_s: f
     if n == 0:
         raise ValueError(f"duration_s * fs is {duration_s * fs!r}, "
                          "which rounds to 0 samples")
-    t = np.arange(n) / fs
+    t = _nominal_axis_at(fs, n)[1][:n]  # the time axis make_trace views
     pts = profile.heart_rate_points()
     hr = np.interp(t, [p[0] for p in pts], [p[1] for p in pts])
 
-    rss = np.full(n, DEFAULT_BASELINE_DB)
-    rss += profile.breathing_amplitude_db * np.sin(
-        2.0 * np.pi * (profile.breathing_rate_bpm / 60.0) * t)
-
-    # beat times: integer crossings of the integrated heart rate
-    phase = np.concatenate([[0.0], np.cumsum(hr / 60.0) / fs])[:n]
+    # beat times: integer crossings of the integrated heart rate. np.interp
+    # copies the read-only axis, so they are found before rss exists.
+    phase = np.empty(n)
+    phase[0] = 0.0
+    np.divide(hr[:-1], 60.0, out=phase[1:])
+    np.cumsum(phase[1:], out=phase[1:])
+    phase[1:] /= fs
     beats = np.arange(1.0, np.floor(phase[-1]) + 1.0)
     beat_times = np.interp(beats, phase, t)
+
+    # the phase's buffer takes the breathing term, and is freed before the
+    # noise is drawn
+    rss = np.full(n, DEFAULT_BASELINE_DB)
+    breathing = np.multiply(2.0 * np.pi * (profile.breathing_rate_bpm / 60.0), t,
+                            out=phase)
+    np.sin(breathing, out=breathing)
+    breathing *= profile.breathing_amplitude_db
+    rss += breathing
+    del phase, breathing
+
     sigma = profile.pulse_width_s
     half = int(np.ceil(4.0 * sigma * fs))
     for tb in beat_times:
@@ -316,6 +337,9 @@ def _gesture_waveform(tpl: GestureTemplate, rng: np.random.Generator,
     f0 = tpl.freq_start_hz * (1.0 + rng.uniform(-tpl.freq_jitter, tpl.freq_jitter))
     f1 = tpl.freq_end_hz * (1.0 + rng.uniform(-tpl.freq_jitter, tpl.freq_jitter))
     n = _sample_count("gesture duration * fs", dur * fs)
+    if n == 0:  # the trace would carry truth for a gesture that is not there
+        raise ValueError(f"gesture duration * fs is {dur * fs!r}, "
+                         "which rounds to 0 samples")
     tau = np.arange(n) / fs
     f_inst = f0 + (f1 - f0) * tau / dur
     phase = 2.0 * np.pi * np.cumsum(f_inst) / fs

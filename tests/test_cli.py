@@ -966,6 +966,17 @@ class TestOversizedDurations:
                    f"{crossing_files[0]}: {key} * fs is inf, not a sample count "
                    "up to 2**62", tmp_path, capsys)
 
+    def test_speed_nfft_no_memory_holds_exits_1(self, calibrated, crossing_files,
+                                                tmp_path, capsys):
+        """It ended in numpy's "array is too big", naming no field."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speed": {"nfft": 10 ** 18}}))
+        self.check(["speed", "estimate", str(crossing_files[0]), "--config", str(cfg),
+                    "--alpha-file", str(calibrated / "alpha.txt")], 1,
+                   "nfft 1000000000000000000 is too large: a spectrogram of "
+                   "500000000000000001 bins by 73 windows does not fit in memory",
+                   tmp_path, capsys)
+
     def test_segmentation_guard_exits_1(self, gesture_corpus, tmp_path, capsys):
         train, _, _ = gesture_corpus
         cfg = tmp_path / "cfg.json"

@@ -653,7 +653,85 @@ def oracle_moving_average(x, window):
     return (c[hi] - c[lo]) / (hi - lo)
 
 
+def unblocked_moving_variance(x, window):
+    """moving_variance before its cumulative sums were taken in blocks."""
+    x = np.asarray(x, dtype=np.float64)
+    xc = x - x.mean()
+    c1 = np.empty(len(xc) + 1)
+    c1[0] = 0
+    np.cumsum(xc, out=c1[1:])
+    np.multiply(xc, xc, out=xc)
+    c2 = np.empty(len(xc) + 1)
+    c2[0] = 0
+    np.cumsum(xc, out=c2[1:])
+    s1 = c1[window:] - c1[:-window]
+    s2 = c2[window:] - c2[:-window]
+    s1 *= s1
+    s1 /= window
+    s2 -= s1
+    s2 /= window - 1
+    return np.maximum(s2, 0.0, out=s2)
+
+
+def unblocked_moving_average(x, window):
+    """moving_average before its cumulative sum was taken in blocks."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    left = (window - 1) // 2
+    right = window - 1 - left
+    c = np.empty(n + 1)
+    c[0] = 0
+    np.cumsum(x, out=c[1:])
+    out = np.empty(n)
+    whole = max(0, n + 1 - window)
+    np.subtract(c[window:], c[:whole], out=out[left:left + whole])
+    out[left:left + whole] /= window
+    idx = np.concatenate((np.arange(min(left, n)), np.arange(left + whole, n)))
+    lo = np.maximum(idx - left, 0)
+    hi = np.minimum(idx + right + 1, n)
+    out[idx] = (c[hi] - c[lo]) / (hi - lo)
+    return out
+
+
+@st.composite
+def walked_series(draw):
+    """(x, window, block): a block of 1 to 9 positions (dsp._BLOCK is 128
+    times it), a length within two samples of a multiple of it, a window
+    from 1 through n + 1, and samples of any sign and scale, -0.0 and runs
+    of exact ties included."""
+    block = draw(st.integers(1, 9))
+    n = max(0, draw(st.integers(0, 6)) * block + draw(st.integers(-2, 2)))
+    window = draw(st.integers(1, n + 1))
+    x = np.array(draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -3.0]) | st.floats(-1e6, 1e6),
+        min_size=n, max_size=n)), dtype=np.float64)
+    return x, window, block
+
+
 class TestMovingStats:
+    @given(walked_series())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_blocks_give_the_unblocked_bits(self, monkeypatch, case):
+        x, window, block = case
+        monkeypatch.setattr(dsp, "_BLOCK", 128 * block)
+        assert dsp._walk_block(window) == max(block, window)
+        got = moving_average(x, window)
+        assert got.tobytes() == unblocked_moving_average(x, window).tobytes()
+        if 2 <= window <= len(x):
+            got = moving_variance(x, window)
+            assert got.tobytes() == unblocked_moving_variance(x, window).tobytes()
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 3 * 8192 + 45])
+    @pytest.mark.parametrize("window", [2, 45, 449, 9000])
+    def test_default_blocks_give_the_unblocked_bits(self, n, window):
+        x = np.random.default_rng(n + window).normal(-50.0, 3.0, n)
+        assert moving_average(x, window).tobytes() == \
+            unblocked_moving_average(x, window).tobytes()
+        if window <= n:
+            assert moving_variance(x, window).tobytes() == \
+                unblocked_moving_variance(x, window).tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 449, 1000])
     def test_equal_to_the_one_shot_formulas(self, n):
         # windows 1 and 2, odd and even, window == n and window > n (every

@@ -5,8 +5,10 @@ gestures) live in the acceptance suite; here every expected value comes from
 a hand-built signal or a hand-built cluster layout.
 """
 
+import hashlib
 import json
 import re
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -187,9 +189,11 @@ class TestSegmentation:
         assert isinstance(segment(make_trace(x, FS), cfg), list)
 
     def test_peak_memory_of_a_long_trace_is_bounded(self):
-        """600 s of a gesture-free scene: each stage holds a few arrays of
-        the series (2.1 MiB each) and the Hampel screen one span, not the
-        23.4 MiB of a screen over the whole series."""
+        """600 s of a gesture-free scene: segment holds the preprocessed
+        series, its moving variance (2.1 MiB each) and one bool mask, and
+        the moving statistics, the history and the Hampel screen work in
+        blocks. Holding the whole history and the cumulative sums took 8.7
+        MiB."""
         trace = simulate_vitals(VitalSignsProfile(breathing_amplitude_db=0.0,
                                                   pulse_amplitude_db=0.0),
                                 NoiseModel(seed=3), 600.0)
@@ -202,7 +206,7 @@ class TestSegmentation:
         finally:
             tracemalloc.stop()
         assert segs == []
-        assert peak < 10 * 2 ** 20
+        assert peak < 2 * trace.rss_db.nbytes + 2 ** 20
 
 
 def oracle_trailing_max(v, window):
@@ -278,6 +282,18 @@ def assert_same_segments(got, want):
         == [(g.start_s, g.end_s, g.samples.tobytes(), g.trace_id) for g in want]
 
 
+def segments_digest(segment_lists) -> str:
+    """sha256 over the times, trace ids and sample bytes of lists of segments."""
+    h = hashlib.sha256()
+    for segs in segment_lists:
+        for s in segs:
+            h.update(struct.pack("<dd", s.start_s, s.end_s))
+            h.update(s.trace_id.encode())
+            h.update(s.samples.tobytes())
+        h.update(b"|")
+    return h.hexdigest()
+
+
 def burst_trace(rng, n_bursts):
     """40 s of receiver noise and n_bursts bursts of random strength, length
     and pitch; about half start within 1.2 s of the end of the one before,
@@ -301,16 +317,34 @@ class TestSegmentationOracle:
     the synthetic traces reach merge, phantom grouping and trim with several
     candidates."""
 
-    def test_trailing_max_equals_a_direct_max(self):
+    def test_history_equals_a_direct_max(self):
         rng = np.random.default_rng(11)
         for _ in range(3000):
-            n = int(rng.integers(1, 60))
-            window = int(rng.integers(1, 80))  # also wider than the series
-            v = rng.integers(0, 5, n).astype(np.float64)  # ties
-            want = [v[max(0, j - window + 1): j + 1].max() for j in range(n)]
-            got = gesture._trailing_max(v, window)
-            assert got.tolist() == want
-            assert got.tobytes() == oracle_trailing_max(v, window).tobytes()
+            long_n, guard_n = int(rng.integers(1, 80)), int(rng.integers(0, 10))
+            jmin = guard_n + long_n - 1
+            v = rng.integers(0, 5, jmin + int(rng.integers(1, 60))).astype(np.float64)  # ties
+            a = int(rng.integers(jmin, len(v)))
+            b = int(rng.integers(a, len(v) + 1))
+            want = [v[j - guard_n - long_n + 1: j - guard_n + 1].max() for j in range(a, b)]
+            assert gesture._history(v, guard_n, long_n, a, b).tolist() == want
+
+    @pytest.mark.parametrize("block", [1, 128 * 7, dsp._BLOCK])
+    def test_mask_equals_one_history_over_the_series(self, monkeypatch, block):
+        """_active in blocks of max(block // 128, long_n) samples against the
+        oracle's mask from one trailing max over the whole series."""
+        monkeypatch.setattr(dsp, "_BLOCK", block)
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            long_n, guard_n = int(rng.integers(1, 12)), int(rng.integers(0, 12))
+            n = guard_n + long_n - 1 + int(rng.integers(1, 60))
+            v = rng.integers(0, 6, n).astype(np.float64)  # ties
+            threshold = float(rng.choice([0.5, 1.0]))
+            hist = oracle_trailing_max(v, long_n)
+            jmin = guard_n + long_n - 1
+            want = np.zeros(n, dtype=bool)
+            want[jmin:] = v[jmin:] > threshold * hist[jmin - guard_n: n - guard_n]
+            got = gesture._active(v, threshold, guard_n, long_n)
+            assert got.tolist() == want.tolist()
 
     def test_a_gap_of_exactly_the_limit_starts_a_group(self):
         # the oracle merges while s0 - previous end - 1 < gap: 4 free samples
@@ -323,6 +357,49 @@ class TestSegmentationOracle:
     def test_matches_oracle_on_the_corpus(self, split):
         cfg = SegmentationConfig(**CORPUS_SEGMENTATION)
         for trace in make_corpora(0)[split]:
+            assert_same_segments(segment(trace, cfg), oracle_segment(trace, cfg))
+
+    @pytest.mark.parametrize("seed, pin", [
+        (0, "acf7fb92e6e588ff1c1628f47ec4150be0db7b7f8ffc529c6a1f638239722822"),
+        (1, "6f34b3f911b466038f4e470d2b70330afdaf8daf91f09b86947f6efdba234910")])
+    def test_corpus_segments_are_pinned(self, seed, pin):
+        """The bytes of every segment of the seed's gesture corpora, as
+        segment wrote them before it built its mask block by block."""
+        cfg = SegmentationConfig(**CORPUS_SEGMENTATION)
+        corpora = make_corpora(seed)
+        got = [segment(trace, cfg) for split in ("gesture_train", "gesture_test")
+               for trace in corpora[split]]
+        if seed == 1:  # test_matches_oracle_on_the_corpus covers seed 0
+            for segs, trace in zip(got, corpora["gesture_train"] + corpora["gesture_test"]):
+                assert_same_segments(segs, oracle_segment(trace, cfg))
+        assert segments_digest(got) == pin
+
+    def test_long_idle_trace_matches_oracle_and_pin(self):
+        """600 s, so the mask takes 33 blocks at the default dsp._BLOCK; a
+        loose threshold and prominence give it 37 segments to keep."""
+        trace = simulate_vitals(VitalSignsProfile(breathing_amplitude_db=0.0,
+                                                  pulse_amplitude_db=0.0),
+                                NoiseModel(seed=3), 600.0)
+        corpus = SegmentationConfig(**CORPUS_SEGMENTATION)
+        loose = replace(corpus, min_prominence=1.0, threshold=0.5)
+        got = [segment(trace, corpus), segment(trace, loose)]
+        assert got[0] == []
+        assert len(got[1]) == 37
+        assert_same_segments(got[1], oracle_segment(trace, loose))
+        assert segments_digest(got) == \
+            "6c2d57c919bc8a180a6e97bb51a4a69609da3ba94fe51e8df3903def3f8e0122"
+
+    @pytest.mark.parametrize("block", [1, 128 * 600])
+    def test_matches_oracle_in_small_blocks(self, monkeypatch, block):
+        """Blocks of one history window (block 1) or of 600 samples: the mask
+        and the moving statistics of a 40 s trace take several blocks."""
+        monkeypatch.setattr(dsp, "_BLOCK", block)
+        rng = np.random.default_rng(22)
+        for i in range(40):
+            cfg = SegmentationConfig(long_window=int(rng.integers(500, 4491)),
+                                     min_prominence=float(rng.choice([1.0, 3.0])),
+                                     guard_s=float(rng.choice([0.0, 2.0])))
+            trace = burst_trace(rng, i % 8)
             assert_same_segments(segment(trace, cfg), oracle_segment(trace, cfg))
 
     def test_matches_oracle_on_synthetic_bursts(self):
@@ -547,10 +624,12 @@ def gesture_features():
 
 
 class TestKnnBlocks:
-    """knn_predict in blocks of at most dsp._BLOCK difference elements gives
-    the one-shot oracle's labels at every block size."""
+    """knn_predict in slabs of at most dsp._BLOCK // 8 difference elements
+    gives the one-shot oracle's labels at every slab size: each block below
+    is eight times a slab, from one element through the default 1 MiB slab
+    to the 8 MiB one it replaced."""
 
-    BLOCKS = [1, 7, dsp._BLOCK]
+    BLOCKS = [8, 56, dsp._BLOCK, 8 * dsp._BLOCK]
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("k", [1, 5, 7])
@@ -571,8 +650,26 @@ class TestKnnBlocks:
         monkeypatch.setattr(dsp, "_BLOCK", block)
         assert np.array_equal(clf.knn_predict(model.state, Xz), want)
         n = len(model.state.points)
-        # 292 features: a small block compares one row with one point at a time
-        assert set(widths) == ({1} if block < 292 else {n})
+        # 292 features: a small slab compares one row with one point at a time
+        assert set(widths) == ({1} if block // 8 < 292 else {n})
+
+    def test_one_row_slabs_match_oracle(self, gesture_features, monkeypatch):
+        """A slab of exactly one row's differences against every point."""
+        model = train_with(gesture_features[::2], "knn", k=5)
+        X = np.stack([fv.values for fv, _ in gesture_features])
+        Xz = (X - model.feature_mean) / model.feature_scale
+        shapes = []
+        squared_distances = clf._squared_distances
+
+        def spy(A, B):
+            shapes.append((len(A), len(B)))
+            return squared_distances(A, B)
+
+        monkeypatch.setattr(clf, "_squared_distances", spy)
+        monkeypatch.setattr(dsp, "_BLOCK", 8 * model.state.points.size)
+        assert np.array_equal(clf.knn_predict(model.state, Xz),
+                              oracle_knn_predict(model.state, Xz))
+        assert set(shapes) == {(1, len(model.state.points))}
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_random_shapes_match_oracle(self, monkeypatch, block):
@@ -590,9 +687,9 @@ class TestKnnBlocks:
                                   oracle_knn_predict(model, X)), case
 
     def test_one_point_block_per_row_when_a_row_overflows(self, monkeypatch):
-        """A row's slab of 3 points x 4 features exceeds a 9-element block, so
-        each row meets the points two at a time, then the last one alone."""
-        monkeypatch.setattr(dsp, "_BLOCK", 9)
+        """A row's 3 points x 4 features exceed a 9-element slab, so each row
+        meets the points two at a time, then the last one alone."""
+        monkeypatch.setattr(dsp, "_BLOCK", 8 * 9)
         shapes = []
         squared_distances = clf._squared_distances
 
@@ -615,8 +712,9 @@ class TestKnnBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the one-shot difference array alone is 200 * 320 * 292 * 8 B = 143 MiB
-        assert peak < 12 * 2 ** 20
+        # the one-shot difference array alone is 200 * 320 * 292 * 8 B = 143
+        # MiB; one row's slab is 0.71 MiB, and an 8 MiB slab held 7.96 MiB
+        assert peak < 2 ** 20 + got.nbytes
         assert np.array_equal(got, oracle_knn_predict(model, X))
 
 

@@ -101,6 +101,26 @@ class TestVitals:
         mid = tr.ground_truth.hr_bpm[len(tr) // 2]
         assert mid == pytest.approx(70.0, abs=0.1)
 
+    def test_peak_memory_is_the_outputs_and_one_series(self, monkeypatch):
+        """600 s: the rss, the heart-rate truth and the shared time axis are
+        6.2 MiB. The breathing term and the beat phase share one buffer and
+        the impulse uniforms come in blocks, so at most one more series is
+        held. A private time axis, a phase of its own and one draw of
+        uniforms held 12.6 MiB."""
+        monkeypatch.setattr(rftrace, "_nominal_axis", (0.0, np.empty(0), []))
+        profile = VitalSignsProfile(heart_rate_bpm=((0.0, 60.0), (600.0, 80.0)))
+        tracemalloc.start()
+        try:
+            tr = simulate_vitals(profile, NoiseModel(seed=3), 600.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        series = tr.rss_db.nbytes
+        assert series == 269_400 * 8
+        assert np.shares_memory(tr.timestamps, rftrace._nominal_axis[1])
+        outputs = 3 * series  # rss_db, hr_bpm and the axis
+        assert peak < outputs + series + 2 ** 20
+
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             VitalSignsProfile(heart_rate_bpm=150.0)
@@ -173,6 +193,19 @@ class TestCrossing:
             BodyModel(radius_m=0.0)
 
 
+def oracle_sample(nm, rng, n):
+    """NoiseModel.sample as first written, with one draw of n uniforms."""
+    out = rng.normal(0.0, nm.gaussian_sigma_db, n) if nm.gaussian_sigma_db > 0 \
+        else np.zeros(n)
+    starts = np.flatnonzero(rng.random(n) < nm.impulse_prob)
+    if len(starts):
+        lengths = rng.integers(1, sim.IMPULSE_MAX_LEN + 1, len(starts))
+        signs = rng.choice([-1.0, 1.0], len(starts))
+        for s, ln, sg in zip(starts, lengths, signs):
+            out[s: s + ln] += sg * nm.impulse_scale_db
+    return out
+
+
 class TestNoise:
     def test_impulses_have_expected_shape(self):
         nm = NoiseModel(gaussian_sigma_db=0.0, impulse_prob=0.002, impulse_scale_db=3.0)
@@ -198,6 +231,19 @@ class TestNoise:
             NoiseModel(impulse_prob=1.5)
         with pytest.raises(ValueError):
             NoiseModel(gaussian_sigma_db=-0.1)
+
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 3 * 8192 + 5])
+    @pytest.mark.parametrize("prob", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_blocked_draws_equal_one_draw(self, n, prob, sigma):
+        """The impulse uniforms, drawn in blocks of 8,192 (one block below
+        n = 8,193), give the bits of oracle_sample's one draw and leave the
+        generator where it left it."""
+        nm = NoiseModel(gaussian_sigma_db=sigma, impulse_prob=prob)
+        got_rng, want_rng = np.random.default_rng(17), np.random.default_rng(17)
+        got, want = nm.sample(got_rng, n), oracle_sample(nm, want_rng, n)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
 
 
 NAN = float("nan")
@@ -344,6 +390,18 @@ class TestGestureSim:
         # jittered gestures must stay shorter than the segmenter's 2 s guard
         for tpl in DEFAULT_TEMPLATES.values():
             assert tpl.duration_s * (1 + tpl.duration_jitter) < 2.0
+
+    @pytest.mark.parametrize("pads", [{}, {"pre_pad_s": 0.0, "post_pad_s": 0.0}])
+    def test_waveform_of_no_sample_is_refused(self, pads):
+        """At 1 Hz the punch's jittered 0.34-0.46 s round to no sample. The
+        trace carried start_s == end_s truth for a gesture that was not
+        there, or with no pads was empty, and save_trace refused it."""
+        with pytest.raises(ValueError, match=r"^gesture duration \* fs is 0\.\d+, "
+                                             "which rounds to 0 samples$"):
+            simulate_gesture(DEFAULT_TEMPLATES["punch"], QUIET, fs=1.0, **pads)
+        # a 0.7 s kick rounds to one sample at 1 Hz
+        tr = simulate_gesture(DEFAULT_TEMPLATES["kick"], QUIET, fs=1.0, seed=1, **pads)
+        assert tr.ground_truth.end_s - tr.ground_truth.start_s == 1.0
 
     def test_template_validation(self):
         with pytest.raises(ValueError):

@@ -186,6 +186,18 @@ class TestEstimateSpeed:
         with pytest.raises(ValueError, match="alpha"):
             estimate_speed(crossing_trace, SpeedConfig())
 
+    @pytest.mark.parametrize("nfft", [2 ** 40, 10 ** 18, 2 ** 63])
+    def test_nfft_no_memory_holds_is_named(self, crossing_trace, nfft):
+        """nfft passes its check at any integer size; a spectrogram no memory
+        holds ended in numpy's "array is too big" or "Unable to allocate",
+        which named no field. numpy refuses each request without touching
+        memory."""
+        cfg = SpeedConfig(nfft=nfft, alpha_m=1.0)
+        with pytest.raises(MemoryError, match=f"^nfft {nfft} is too large: a spectrogram "
+                                              f"of {nfft // 2 + 1} bins by 73 windows "
+                                              "does not fit in memory$"):
+            estimate_speed(crossing_trace, cfg)
+
     def test_v_hat_linear_in_alpha(self, crossing_trace, tuned_cfg):
         from dataclasses import replace
         ev1 = estimate_speed(crossing_trace, tuned_cfg)
