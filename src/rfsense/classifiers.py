@@ -146,24 +146,25 @@ def _gini_scan(values, labels, n_classes):
 
 
 def _grow_tree(X, y, feats, n_classes):
+    """A tree over the columns of X, which are the features `feats`."""
     counts = np.bincount(y, minlength=n_classes)
     node_gini = 1.0 - ((counts / len(y)) ** 2).sum()
     if node_gini == 0.0:
         return {"leaf": int(np.argmax(counts))}
     best = None
-    for f in feats:
-        scan = _gini_scan(X[:, f], y, n_classes)
+    for j in range(X.shape[1]):
+        scan = _gini_scan(X[:, j], y, n_classes)
         if scan is None:
             continue
         score, thr = scan
         if best is None or score < best[0] - _MIN_GINI_GAIN:
-            best = (score, int(f), thr)
+            best = (score, j, thr)
     if best is None or best[0] >= node_gini - _MIN_GINI_GAIN:
         return {"leaf": int(np.argmax(counts))}
-    _, f, thr = best
-    mask = X[:, f] <= thr
+    _, j, thr = best
+    mask = X[:, j] <= thr
     return {
-        "feature": f,
+        "feature": int(feats[j]),
         "threshold": thr,
         "left": _grow_tree(X[mask], y[mask], feats, n_classes),
         "right": _grow_tree(X[~mask], y[~mask], feats, n_classes),
@@ -180,7 +181,7 @@ def forest_fit(X, y, n_classes: int, n_trees: int = 15, seed: int = 0) -> Random
     for _ in range(n_trees):
         feats = np.sort(rng.choice(F, size=min(n_sub, F), replace=False))
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X[boot], y[boot], feats, n_classes))
+        trees.append(_grow_tree(X[np.ix_(boot, feats)], y[boot], feats, n_classes))
     return RandomForestModel(trees=tuple(trees), n_classes=n_classes, n_features=F)
 
 

@@ -12,8 +12,9 @@ which raises the PSD peak by orders of magnitude.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,8 +81,10 @@ class HeartRateConfig:
                              f"{self.window_samples}-sample window")
         dsp._sample_count("60 * sample_rate_hz / nfft_target_resolution_bpm",
                           60.0 * self.sample_rate_hz / self.nfft_target_resolution_bpm)
-        dsp._sample_count("update_period_s * sample_rate_hz",
-                          self.update_period_s * self.sample_rate_hz)
+        step = self.update_period_s * self.sample_rate_hz
+        if dsp._sample_count("update_period_s * sample_rate_hz", step) == 0:
+            raise ValueError(f"update_period_s * sample_rate_hz is {step!r}, "
+                             "which rounds to 0 samples")
 
     @property
     def window_samples(self) -> int:
@@ -140,17 +143,15 @@ def _band_spectra(windows: np.ndarray, bp: IirFilter, hann: np.ndarray,
 
 
 def _estimates(bpm: np.ndarray, summed: np.ndarray, times,
-               cfg: HeartRateConfig) -> list[HeartRateEstimate]:
+               cfg: HeartRateConfig) -> Iterator[HeartRateEstimate]:
     """One estimate per row of `summed`, stamped `times`: the bpm of its
     peak bin, or suppressed when the peak reaches cfg.psd_threshold."""
-    out = []
     for t, peak, best in zip(times, summed.max(axis=1), summed.argmax(axis=1)):
         peak = float(peak)
         if cfg.psd_threshold is not None and peak >= cfg.psd_threshold:
-            out.append(HeartRateEstimate(t, None, peak, STATUS_SUPPRESSED))
+            yield HeartRateEstimate(t, None, peak, STATUS_SUPPRESSED)
         else:
-            out.append(HeartRateEstimate(t, float(bpm[best]), peak, STATUS_ESTIMATE))
-    return out
+            yield HeartRateEstimate(t, float(bpm[best]), peak, STATUS_ESTIMATE)
 
 
 def estimate_window(window_rss: np.ndarray, cfg: HeartRateConfig = HeartRateConfig(),
@@ -169,7 +170,7 @@ def estimate_window(window_rss: np.ndarray, cfg: HeartRateConfig = HeartRateConf
     w = hampel_filter(window_rss, cfg.hampel)
     bpm, summed = _band_spectra(w[None, :], _bandpass(cfg), np.hanning(len(w)), cfg,
                                 second_harmonic)
-    return _estimates(bpm, summed, [time_s], cfg)[0]
+    return next(_estimates(bpm, summed, [time_s], cfg))
 
 
 def estimate_window_single_harmonic(window_rss: np.ndarray,
@@ -187,82 +188,81 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
-                      second_harmonic: bool = True) -> list[HeartRateEstimate]:
-    """Trailing-window estimates every update period, stamped at window end.
-
-    The trace must be sampled at cfg.sample_rate_hz. The Hampel filter runs
-    once over the whole trace, and the full windows go in blocks of rows:
-    one call refreshes the window-edge regions of a block, where the
-    filter's shrunken context differs, and one bandpass call and one
-    _psd_rows call serve all its rows. The blocks run on a pool of one
-    worker thread per CPU the process may use (_workers), made for this
-    call and joined before it returns or raises; their estimates are
-    collected in order. Every step is row-wise, so each estimate stays
-    bit-identical to estimate_window on that window in isolation, whatever
-    the worker count. A trace too short for one full window gives only
-    insufficient_data updates, and is not filtered.
-    """
+def _schedule(trace: RssTrace, cfg: HeartRateConfig) -> tuple[list[float], np.ndarray]:
+    """The update times k * update_period_s, k = 1, 2, ..., whose window end
+    rint(time * fs) is within the trace, and the start of each window."""
     fs = cfg.sample_rate_hz
     if trace.metadata.sample_rate_hz != fs:
         raise ValueError(f"trace is sampled at {trace.metadata.sample_rate_hz!r} Hz "
                          f"but the heart-rate config expects {fs!r} Hz")
-    n = len(trace)
-    n_win = cfg.window_samples
-    times, ends = [], []
-    k = 1
-    while True:
-        t_end = k * cfg.update_period_s
-        end = dsp._sample_count("update time * sample_rate_hz", t_end * fs)
-        if end > n:
-            break
-        times.append(t_end)
-        ends.append(end)
-        k += 1
-    starts = np.asarray(ends, dtype=np.intp) - n_win
-    first = int(np.searchsorted(starts, 0))
-    out = [HeartRateEstimate(t, None, 0.0, STATUS_INSUFFICIENT) for t in times[:first]]
-    if first == len(times):
-        return out
+    # ends never decrease, and those of times past (n + 1) / fs pass n
+    k = np.arange(1, int((len(trace) + 1) / (cfg.update_period_s * fs)) + 2)
+    times = k * cfg.update_period_s
+    ends = np.rint(times * fs)
+    keep = ends <= len(trace)
+    # tolist: the times stay Python floats, whose repr the CSV writes
+    return times[keep].tolist(), ends[keep].astype(np.intp) - cfg.window_samples
+
+
+def _band_rows(trace: RssTrace, cfg: HeartRateConfig, second_harmonic: bool,
+               starts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the (bpm, summed) band rows of the full windows among `starts`,
+    a block at a time and in order. The Hampel filter runs once over the
+    whole trace; per block, one call refreshes the window edges, where its
+    context shrinks, and one bandpass and one _psd_rows call serve all rows.
+    The blocks run on one worker thread per CPU the process may use
+    (_workers), joined when the generator ends.
+    """
+    starts = starts[starts >= 0]
+    if not len(starts):
+        return
     full = hampel_filter(trace.rss_db, cfg.hampel)
     bp = _bandpass(cfg)
-    hann = np.hanning(n_win)
-    # The tasks in flight on all workers together hold at most dsp._BLOCK
-    # padded samples (rows x nfft) whenever one row fits: 16 rows at nfft =
-    # 65,536, 8 per task with two workers; no more workers start than rows.
-    # A task holds its windows (passed straight in, so they are dropped once
-    # filtered), their filtered copy and one row's complex transform at a
-    # time: 0.6 MiB of windows and 0.5 MiB of spectrum at 20 s and 8 rows.
-    # The FFT, sosfilt and the edge refresh's large array operations release
-    # the GIL, so tasks overlap. The arrays the tasks share are only read;
-    # each writes only to the copies it makes.
+    hann = np.hanning(cfg.window_samples)
+    # The tasks in flight together hold at most dsp._BLOCK padded samples
+    # (rows x nfft) whenever one row fits: 16 rows at nfft = 65,536, 8 per
+    # task with two workers, and no more workers than rows. A task holds its
+    # windows until filtered, their filtered copy and one row's spectrum:
+    # 0.6 + 0.5 MiB at 20 s and 8 rows. FFT, sosfilt and the edge refresh
+    # release the GIL, so tasks overlap; they only read the arrays they share.
     rows = max(1, dsp._BLOCK // cfg.nfft)
     workers = min(_workers(), rows)
     rows //= workers
 
-    def block(lo: int) -> list[HeartRateEstimate]:
-        bpm, summed = _band_spectra(hampel_refresh_edges(
-            trace.rss_db, full, starts[lo:lo + rows], n_win, cfg.hampel),
+    def block(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        return _band_spectra(hampel_refresh_edges(
+            trace.rss_db, full, starts[lo:lo + rows], len(hann), cfg.hampel),
             bp, hann, cfg, second_harmonic)
-        return _estimates(bpm, summed, times[lo:lo + rows], cfg)
 
     with ThreadPoolExecutor(workers) as pool:
-        for estimates in pool.map(block, range(first, len(times), rows)):
-            out.extend(estimates)
+        yield from pool.map(block, range(0, len(starts), rows))
+
+
+def stream_heart_rate(trace: RssTrace, cfg: HeartRateConfig = HeartRateConfig(),
+                      second_harmonic: bool = True) -> list[HeartRateEstimate]:
+    """Trailing-window estimates every update period, stamped at window end.
+
+    The trace must be sampled at cfg.sample_rate_hz. The workers return band
+    rows (_band_rows); _estimates decides each update from them, in order,
+    on the calling thread, bit-identical to estimate_window on that window
+    alone at any worker count. Updates without a full window are
+    insufficient_data.
+    """
+    times, starts = _schedule(trace, cfg)
+    out = [HeartRateEstimate(t, None, 0.0, STATUS_INSUFFICIENT)
+           for t in times[:int(np.searchsorted(starts, 0))]]
+    for bpm, summed in _band_rows(trace, cfg, second_harmonic, starts):
+        out.extend(_estimates(bpm, summed, times[len(out):len(out) + len(summed)], cfg))
     return out
 
 
 def calibrate_threshold(quiet_trace: RssTrace,
                         cfg: HeartRateConfig = HeartRateConfig()) -> float:
-    """Motion-suppression threshold from an artifact-free reference trace.
-
-    Returns ten times the median windowed peak of the summed PSD; gross
-    motion exceeds quiescent peaks by orders of magnitude, so that margin
-    is safe on both sides.
-    """
-    base = replace(cfg, psd_threshold=None)
-    peaks = [e.peak_power for e in stream_heart_rate(quiet_trace, base)
-             if e.status == STATUS_ESTIMATE]
+    """Motion-suppression threshold from an artifact-free reference trace:
+    ten times the median peak of the summed PSD over its full windows, a
+    margin that gross motion exceeds by orders of magnitude."""
+    peaks = [summed.max(axis=1) for _, summed in
+             _band_rows(quiet_trace, cfg, True, _schedule(quiet_trace, cfg)[1])]
     if not peaks:
         raise ValueError("reference trace too short for a single window")
-    return _THRESHOLD_MARGIN * float(np.median(peaks))
+    return _THRESHOLD_MARGIN * float(np.median(np.concatenate(peaks)))

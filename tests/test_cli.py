@@ -956,6 +956,16 @@ class TestOversizedDurations:
                    "bad heart config: update_period_s * sample_rate_hz is inf, "
                    "not a sample count up to 2**62", tmp_path, capsys)
 
+    def test_heart_update_period_under_half_a_sample_exits_2(self, vitals_dir, tmp_path,
+                                                              capsys):
+        """1e-9 s was accepted, and the schedule then grew until memory ran
+        out, ending in an empty `error: ` line."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"heart": {"update_period_s": 1e-9}}))
+        self.check(["heartrate", str(vitals_dir / "vitals.csv"), "--config", str(cfg)], 2,
+                   "bad heart config: update_period_s * sample_rate_hz is 4.49e-07, "
+                   "which rounds to 0 samples", tmp_path, capsys)
+
     @pytest.mark.parametrize("key", ["hop_s", "window_s"])
     def test_speed_window_and_hop_exit_1(self, key, calibrated, crossing_files,
                                          tmp_path, capsys):

@@ -718,6 +718,55 @@ class TestKnnBlocks:
         assert np.array_equal(got, oracle_knn_predict(model, X))
 
 
+@pytest.fixture(scope="module")
+def corpus_training_sets():
+    """The (features, label) pairs of the seed-0 and seed-1 gesture_train
+    corpora, each trace cut at its longest segment: 320 rows of 292
+    features."""
+    cfg = SegmentationConfig(**CORPUS_SEGMENTATION)
+    sets = []
+    for seed in (0, 1):
+        data = []
+        for tr in make_corpora(seed)["gesture_train"]:
+            segments = segment(tr, cfg)
+            best = max(segments, key=lambda s: s.duration_s)
+            data.append((extract_features(best, FS), tr.ground_truth.label))
+        sets.append(data)
+    return sets
+
+
+class TestForestFit:
+    # sha256 of json.dumps(trees) before the trees took only their sampled
+    # feature columns, for corpus seeds 0 and 1 and forest seeds 0 and 1
+    PINS = {
+        (0, 0): "e37b4a35cb37addacc4f2a3a2f70c9ffa9d885d70e35419a1dc12ae9dfc95be7",
+        (0, 1): "25a71141792993db16e9c76e1bccd2f731e3a02593bef95ec23b4d52d8eb549d",
+        (1, 0): "ffa5f7c99e29ad1dd91548d333f5305b5dc00f0d944f465b44177b8f8c9882bd",
+        (1, 1): "95f82883575fac26c4ce568b1efce28729b09d5ab7333a2a755baa8ade4b75e9",
+    }
+
+    @pytest.mark.parametrize("corpus, seed", sorted(PINS))
+    def test_corpus_forests_are_pinned(self, corpus_training_sets, corpus, seed):
+        data = corpus_training_sets[corpus]
+        assert (len(data), len(data[0][0].values)) == (320, 292)
+        trees = train(data, "random_forest", seed=seed).state.trees
+        digest = hashlib.sha256(json.dumps(trees).encode()).hexdigest()
+        assert digest == self.PINS[corpus, seed]
+
+    def test_peak_memory_is_bounded(self, corpus_training_sets):
+        """Each tree copies its 18 sampled columns down the recursion, not
+        all 292: the seed-0 fit peaked at 5.17 MiB when it copied all of
+        them, and takes 2.21 MiB now."""
+        data = corpus_training_sets[0]
+        tracemalloc.start()
+        try:
+            train(data, "random_forest")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+
+
 class TestEvaluate:
     def test_perfect_classifier_identity_confusion(self):
         data = blob_dataset(seed=9, per_class=6)

@@ -5,6 +5,7 @@ stream/window bit-equality against a full-periodogram oracle."""
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +75,30 @@ def fields(e: HeartRateEstimate):
     return e.time_s, repr(e.bpm), repr(e.peak_power), e.status
 
 
+def oracle_schedule(n, cfg):
+    """The update loop the array schedule replaced: times k * update_period_s
+    and window ends round(time * fs), k = 1, 2, ..., while the end is within
+    the n samples."""
+    times, ends = [], []
+    k = 1
+    while True:
+        t_end = k * cfg.update_period_s
+        end = int(round(t_end * cfg.sample_rate_hz))
+        if end > n:
+            return times, ends
+        times.append(t_end)
+        ends.append(end)
+        k += 1
+
+
+def oracle_threshold(trace, cfg):
+    """calibrate_threshold as it was first defined: ten times the median
+    peak_power of the estimate updates of the stream at psd_threshold=None."""
+    ests = stream_heart_rate(trace, replace(cfg, psd_threshold=None))
+    peaks = [e.peak_power for e in ests if e.status == STATUS_ESTIMATE]
+    return 10.0 * float(np.median(peaks))
+
+
 class TestConfig:
     def test_nfft_reaches_target_resolution(self):
         assert CFG.nfft == 65536
@@ -95,6 +120,10 @@ class TestConfig:
         ({"psd_threshold": -1.0}, "psd_threshold must be positive, not -1.0"),
         ({"update_period_s": float("nan")}, "update_period_s must be finite and positive, not nan"),
         ({"update_period_s": 0.0}, "update_period_s must be finite and positive, not 0.0"),
+        ({"update_period_s": 1e-9},
+         "update_period_s \\* sample_rate_hz is 4.49e-07, which rounds to 0 samples"),
+        ({"update_period_s": 0.5 / FS},
+         "update_period_s \\* sample_rate_hz is 0.5, which rounds to 0 samples"),
         ({"nfft_target_resolution_bpm": float("nan")},
          "nfft_target_resolution_bpm must be finite and positive, not nan"),
         ({"sample_rate_hz": float("nan")}, "sample_rate_hz must be finite and positive, not nan"),
@@ -276,6 +305,19 @@ class TestSuppression:
         assert est.bpm is None
         assert est.peak_power >= thd
 
+    @pytest.mark.parametrize("window_s", [10.0, 20.0, 40.0])
+    def test_calibrate_equals_the_median_estimate_peak(self, rest_and_motion, window_s):
+        """The threshold is read off the band rows' peaks; it equals the
+        median peak of the estimate updates of a stream without a threshold,
+        whatever threshold and update period the config holds."""
+        for trace in rest_and_motion:
+            for period in (1.0, 0.7):
+                for thd in (None, 1e-300):
+                    cfg = HeartRateConfig(window_s=window_s, update_period_s=period,
+                                          psd_threshold=thd)
+                    got = calibrate_threshold(trace, cfg)
+                    assert repr(got) == repr(oracle_threshold(trace, cfg))
+
     def test_calibrate_rejects_short_reference(self):
         short = make_trace(np.full(100, -50.0), FS)
         with pytest.raises(ValueError):
@@ -344,6 +386,34 @@ class TestStream:
         assert [e.status for e in ests] == [STATUS_INSUFFICIENT] * 19 + [STATUS_ESTIMATE]
         assert fields(ests[-1]) == fields(estimate_window(tr.rss_db, CFG, 20.0))
         assert calibrate_threshold(tr, CFG) == 10.0 * ests[-1].peak_power
+
+    @pytest.mark.parametrize("duration_s", [0.3, 19.99, 20.0, 21.0, 61.3])
+    def test_times_and_statuses_equal_the_update_loop(self, monkeypatch, duration_s):
+        """The schedule is built once as arrays; its times, statuses and
+        window starts are the loop's, and its times are Python floats, whose
+        repr the CSV writes. The spectra are stubbed out: a 0.0015 s period
+        on 61.3 s makes 40,867 updates."""
+        tr = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=3), duration_s)
+        starts = []
+
+        def refresh(x, full, s, *rest):
+            starts.extend(s.tolist())
+            return np.zeros((len(s), 1))
+
+        monkeypatch.setattr(heart, "_workers", lambda: 1)
+        monkeypatch.setattr(heart, "hampel_refresh_edges", refresh)
+        monkeypatch.setattr(heart, "_band_spectra", lambda w, *rest: (np.array([60.0]), w))
+        for period in (0.3, 0.7, 1.0, 1.3, 2.0, 0.0015):
+            cfg = HeartRateConfig(update_period_s=period)
+            times, ends = oracle_schedule(len(tr), cfg)
+            starts.clear()
+            ests = stream_heart_rate(tr, cfg)
+            assert [repr(e.time_s) for e in ests] == [repr(t) for t in times]
+            assert [e.status for e in ests] == [
+                STATUS_INSUFFICIENT if end < cfg.window_samples else STATUS_ESTIMATE
+                for end in ends]
+            assert starts == [end - cfg.window_samples for end in ends
+                              if end >= cfg.window_samples]
 
     def test_rejects_trace_at_another_rate(self):
         tr = simulate_vitals(VitalSignsProfile(), NoiseModel(seed=2), 30.0, fs=300.0)
@@ -519,6 +589,34 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert [fields(e) for e in got] == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_decision_runs_on_the_calling_thread(self, monkeypatch, rest_and_motion,
+                                                       workers):
+        """The workers return band rows; _estimates decides every update on
+        the thread that called the stream, one call per block, in order."""
+        spectra_on, decided = [], []
+        band_spectra, estimates = heart._band_spectra, heart._estimates
+
+        def spectra_spy(*args):
+            spectra_on.append(threading.current_thread())
+            return band_spectra(*args)
+
+        def decide_spy(bpm, summed, times, cfg):
+            decided.append((threading.current_thread(), times))
+            return estimates(bpm, summed, times, cfg)
+
+        monkeypatch.setattr(heart, "_band_spectra", spectra_spy)
+        monkeypatch.setattr(heart, "_estimates", decide_spy)
+        monkeypatch.setattr(heart, "_workers", lambda: workers)
+        monkeypatch.setattr(dsp, "_BLOCK", 3 * CFG.nfft)
+        ests = stream_heart_rate(rest_and_motion[1], CFG)
+        assert {t for t, _ in decided} == {threading.current_thread()}
+        assert [t for _, times in decided for t in times] == [
+            e.time_s for e in ests if e.status != STATUS_INSUFFICIENT] == [
+            float(k) for k in range(20, 63)]
+        assert len(decided) == len(spectra_on) == -(-43 // (3 // workers))
+        assert threading.current_thread() not in spectra_on
 
     def test_no_worker_outlives_the_stream(self, monkeypatch, rest_and_motion):
         monkeypatch.setattr(heart, "_workers", lambda: 2)
