@@ -542,6 +542,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_args(args) -> None:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, not {args.seed}")
     if args.command == "simulate" and args.duration is None:
         args.duration = {"vitals": 300.0, "crossing": 20.0}.get(args.kind)
     if args.command == "gesture":
@@ -566,8 +568,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, MemoryError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # Python's own MemoryErrors carry no message
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

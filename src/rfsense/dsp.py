@@ -60,13 +60,15 @@ def _non_negative(**values) -> None:
     _require("finite and >= 0", lambda v: 0 <= v < math.inf, **values)
 
 
-def _sample_count(what: str, value: float) -> int:
+def _sample_count(what: str, value: float, least: int = 0) -> int:
     """int(round(value)) for `what`, a duration times a rate. NaN, a negative
-    value or one above 2**62, whose power-of-two transform length no signed
-    64-bit size holds, raises ValueError naming `what`."""
+    value, one above 2**62 (whose power-of-two transform length no signed
+    64-bit size holds) or a count below `least` raises ValueError naming it."""
     if not 0 <= value <= 2.0 ** 62:
         raise ValueError(f"{what} is {value!r}, not a sample count up to 2**62")
-    return int(round(value))
+    if (n := int(round(value))) < least:
+        raise ValueError(f"{what} is {value!r}, which rounds to {n} samples")
+    return n
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,7 @@ class HampelConfig:
     def __post_init__(self):
         _positive(n_sigmas=self.n_sigmas)
         _require(">= 1", lambda v: 1 <= v < math.inf, half_window=self.half_window)
+        _require("an integer", _is_int, half_window=self.half_window)
 
 
 def _middle(lo: np.ndarray, hi: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -109,10 +112,25 @@ def _kept(xc: np.ndarray, med: np.ndarray, y_a: np.ndarray, y_b: np.ndarray,
 
     Rounded subtraction and the product with the positive constant are
     monotone, so LB also bounds the MAD as the exact path rounds it, and
-    _decide keeps every sample this passes.
+    _exact keeps every sample this passes.
     """
     lb = np.minimum(med - y_a, y_b - med)
     return np.abs(xc - med) <= cfg.n_sigmas * MAD_SCALE * lb
+
+
+def _exact(rows: np.ndarray, m, xc: np.ndarray, cfg: HampelConfig) -> np.ndarray:
+    """Hampel decision for centre samples xc against the exact median and MAD
+    of their windows; overwrites rows. Row j holds its window's m[j] entries
+    (or m, for every row) padded with +inf, so a row sort puts the entries,
+    and then their deviations, ahead of the padding."""
+    j = np.arange(len(rows))
+    rows.sort(axis=1)
+    med = _middle(rows[j, (m - 1) // 2], rows[j, m // 2], m)
+    np.subtract(rows, med[:, None], out=rows)
+    np.abs(rows, out=rows)
+    rows.sort(axis=1)
+    mad = _middle(rows[j, (m - 1) // 2], rows[j, m // 2], m)
+    return np.where(np.abs(xc - med) > cfg.n_sigmas * MAD_SCALE * mad, med, xc)
 
 
 def _left_edge_hampel(heads: np.ndarray, cfg: HampelConfig) -> np.ndarray:
@@ -122,10 +140,9 @@ def _left_edge_hampel(heads: np.ndarray, cfg: HampelConfig) -> np.ndarray:
     heads has 2k columns. All k windows of a row are prefixes of it, so one
     stable sort of each row lists each window's sorted entries: those whose
     index lies inside it. That gives each window's exact median and the MAD
-    bound of _kept. Windows the bound cannot certify get their MAD from a
-    row-wise sort of their deviations, each row padded with +inf beyond its
-    window. The windows of all rows, taken in row-major order, go in blocks
-    to bound the memory.
+    bound of _kept. Windows the bound cannot certify go to _exact, each
+    padded with +inf beyond its entries. The windows of all rows, taken in
+    row-major order, go in blocks to bound the memory.
     """
     k = cfg.half_window
     # the narrowest integer type holding the indices keeps the masks cheap
@@ -144,23 +161,11 @@ def _left_edge_hampel(heads: np.ndarray, cfg: HampelConfig) -> np.ndarray:
         y_lo, y_hi, y_a, y_b = ordered[r, pos[first + ranks] % (2 * k)]
         med = _middle(y_lo, y_hi, m)
         exact = ~_kept(out[r, i], med, y_a, y_b, cfg)
-        if not exact.any():
-            continue
-        r, i, m, med = r[exact], i[exact], m[exact], med[exact]
-        inside = np.arange(m.max()) < m[:, None]
-        dev = np.where(inside, np.abs(heads[r, :m.max()] - med[:, None]), np.inf)
-        dev.sort(axis=1)
-        j = np.arange(len(r))
-        mad = _middle(dev[j, (m - 1) // 2], dev[j, m // 2], m)
-        out[r, i] = _decide(out[r, i], med, mad, cfg)
+        if exact.any():
+            r, i, m = r[exact], i[exact], m[exact]
+            rows = np.where(np.arange(m.max()) < m[:, None], heads[r, :m.max()], np.inf)
+            out[r, i] = _exact(rows, m, out[r, i], cfg)
     return out
-
-
-def _decide(xc: np.ndarray, med: np.ndarray, mad: np.ndarray,
-            cfg: HampelConfig) -> np.ndarray:
-    """Hampel decision for centre samples xc against their window median/MAD."""
-    bad = np.abs(xc - med) > cfg.n_sigmas * MAD_SCALE * mad
-    return np.where(bad, med, xc)
 
 
 def _shrunken_edges(x: np.ndarray, starts: np.ndarray, length: int,
@@ -257,9 +262,8 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
     # one _BLOCK, so the heap a screen leaves to the calling thread stays
     # small beside the heaps of stream_heart_rate's worker threads. Four
     # windows at least keep a small _BLOCK from calling the rank filters
-    # once per sample. Uncertified windows go to the exact path in chunks
-    # of rows to bound the memory. The window is odd, so the median and the
-    # MAD are element k of a partition.
+    # once per sample. Uncertified windows go to _exact in chunks of rows
+    # to bound the memory.
     windows = np.lib.stride_tricks.sliding_window_view(x, win)
     span = max(_BLOCK // 64, 4 * win)
     step = max(1, _BLOCK // win)
@@ -268,14 +272,7 @@ def hampel_filter(x, cfg: HampelConfig = HampelConfig()) -> np.ndarray:
         exact += c0 - k  # window starts in x
         for lo in range(0, len(exact), step):
             j = exact[lo:lo + step]  # window starts; centres are j + k
-            part = windows[j]
-            part.partition(k, axis=1)
-            med = part[:, k] + 0.0  # a fresh copy; -0.0 -> +0.0 as in np.median
-            np.subtract(part, med[:, None], out=part)
-            np.abs(part, out=part)
-            part.partition(k, axis=1)
-            mad = part[:, k]
-            out[j + k] = _decide(x[j + k], med, mad, cfg)
+            out[j + k] = _exact(windows[j], win, x[j + k], cfg)
     left, right = _shrunken_edges(x, np.zeros(1, dtype=np.intp), n, cfg)
     out[:k], out[n - k:] = left[0], right[0]
     return out
@@ -400,7 +397,7 @@ def _butterworth(analog: np.ndarray, zeros: tuple, f_unit_hz: float,
 
 
 def _check_order(**orders) -> None:
-    _require("2, 4, 6 or 8", lambda v: v in (2, 4, 6, 8), **orders)
+    _require("2, 4, 6 or 8", lambda v: v in (2, 4, 6, 8) and _is_int(v), **orders)
 
 
 def butterworth_lowpass(order: int, cutoff_hz: float, fs: float) -> IirFilter:
@@ -534,10 +531,8 @@ def spectrogram(x, fs: float, window_s: float, hop_s: float,
     windows, their power and one window's complex spectrum.
     """
     x = np.asarray(x, dtype=np.float64)
-    win_n = _sample_count("window_s * fs", window_s * fs)
-    hop_n = max(1, _sample_count("hop_s * fs", hop_s * fs))
-    if win_n < 2:
-        raise ValueError("window too short")
+    win_n = _sample_count("window_s * fs", window_s * fs, least=2)
+    hop_n = _sample_count("hop_s * fs", hop_s * fs, least=1)
     if len(x) < win_n:
         raise ValueError("series shorter than one window")
     if nfft is None:

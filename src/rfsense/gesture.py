@@ -69,6 +69,8 @@ class SegmentationConfig:
         _require(">= 2", lambda v: 2 <= v < math.inf, short_window=self.short_window)
         if not self.short_window < self.long_window:
             raise ValueError("short_window must be smaller than long_window")
+        _require("an integer", _is_int, short_window=self.short_window,
+                 long_window=self.long_window)
         _require("in (0, 1]", lambda v: 0 < v <= 1, threshold=self.threshold)
         _positive(min_duration_s=self.min_duration_s,
                   lowpass_cutoff_hz=self.lowpass_cutoff_hz,
@@ -110,11 +112,7 @@ def _lowpass(order: int, cutoff_hz: float, fs: float) -> IirFilter:
 def _mean_samples(cfg: SegmentationConfig, fs: float) -> int:
     """The local mean window in samples at `fs`. Below 1.5 samples it rounds
     to a mean of one sample (or none), which would leave rounding residue."""
-    mean_n = _sample_count("mean_window_s * fs", cfg.mean_window_s * fs)
-    if mean_n < 2:
-        raise ValueError(f"mean_window_s {cfg.mean_window_s!r} is below 1.5 samples "
-                         f"at {fs!r} Hz")
-    return mean_n
+    return _sample_count("mean_window_s * fs", cfg.mean_window_s * fs, least=2)
 
 
 def preprocess(rss_db: np.ndarray, fs: float, cfg: SegmentationConfig) -> np.ndarray:

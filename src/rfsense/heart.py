@@ -81,10 +81,8 @@ class HeartRateConfig:
                              f"{self.window_samples}-sample window")
         dsp._sample_count("60 * sample_rate_hz / nfft_target_resolution_bpm",
                           60.0 * self.sample_rate_hz / self.nfft_target_resolution_bpm)
-        step = self.update_period_s * self.sample_rate_hz
-        if dsp._sample_count("update_period_s * sample_rate_hz", step) == 0:
-            raise ValueError(f"update_period_s * sample_rate_hz is {step!r}, "
-                             "which rounds to 0 samples")
+        dsp._sample_count("update_period_s * sample_rate_hz",
+                          self.update_period_s * self.sample_rate_hz, least=1)
 
     @property
     def window_samples(self) -> int:

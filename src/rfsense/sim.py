@@ -177,10 +177,7 @@ def simulate_vitals(profile: VitalSignsProfile, noise: NoiseModel, duration_s: f
     if profile.pulse_width_s < 1.0 / fs:
         raise ValueError(f"pulse_width_s {profile.pulse_width_s!r} is below one "
                          f"sample period (1/{fs!r} s)")
-    n = _sample_count("duration_s * fs", duration_s * fs)
-    if n == 0:
-        raise ValueError(f"duration_s * fs is {duration_s * fs!r}, "
-                         "which rounds to 0 samples")
+    n = _sample_count("duration_s * fs", duration_s * fs, least=1)
     t = _nominal_axis_at(fs, n)[1][:n]  # the time axis make_trace views
     pts = profile.heart_rate_points()
     hr = np.interp(t, [p[0] for p in pts], [p[1] for p in pts])
@@ -250,10 +247,7 @@ def simulate_crossing(geom: LinkGeometry, path: WalkPath, noise: NoiseModel,
     cross_t = -path.start_offset_m / path.speed_mps
     if not 0.0 <= cross_t <= path.duration_s:
         raise ValueError("path does not cross the link within the trace duration")
-    n = _sample_count("duration_s * fs", path.duration_s * fs)
-    if n == 0:
-        raise ValueError(f"duration_s * fs is {path.duration_s * fs!r}, "
-                         "which rounds to 0 samples")
+    n = _sample_count("duration_s * fs", path.duration_s * fs, least=1)
     t = np.arange(n) / fs
     h = _crossing_channel(geom, path, body, t)
     rss = 20.0 * np.log10(np.maximum(np.abs(h), 1e-9)) + DEFAULT_BASELINE_DB
@@ -336,10 +330,8 @@ def _gesture_waveform(tpl: GestureTemplate, rng: np.random.Generator,
         0.3, 3.0))
     f0 = tpl.freq_start_hz * (1.0 + rng.uniform(-tpl.freq_jitter, tpl.freq_jitter))
     f1 = tpl.freq_end_hz * (1.0 + rng.uniform(-tpl.freq_jitter, tpl.freq_jitter))
-    n = _sample_count("gesture duration * fs", dur * fs)
-    if n == 0:  # the trace would carry truth for a gesture that is not there
-        raise ValueError(f"gesture duration * fs is {dur * fs!r}, "
-                         "which rounds to 0 samples")
+    # with no sample, the trace would carry truth for a gesture it does not hold
+    n = _sample_count("gesture duration * fs", dur * fs, least=1)
     tau = np.arange(n) / fs
     f_inst = f0 + (f1 - f0) * tau / dur
     phase = 2.0 * np.pi * np.cumsum(f_inst) / fs

@@ -42,6 +42,7 @@ class SpeedConfig:
         _positive(window_s=self.window_s, hop_s=self.hop_s,
                   search_interval_s=self.search_interval_s)
         _require(">= 1", lambda v: 1 <= v < math.inf, smoothing_window=self.smoothing_window)
+        _require("an integer", _is_int, smoothing_window=self.smoothing_window)
         _require("an integer >= 2", lambda v: _is_int(v) and v >= 2, nfft=self.nfft)
         if self.crossing_threshold_hz is not None:  # +inf: every window is below
             _require("positive", lambda v: v > 0,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfsense import cli, gesture
+from rfsense import cli, gesture, heart
 from rfsense.sim import (DEFAULT_TEMPLATES, NoiseModel, VitalSignsProfile,
                          simulate_gesture, simulate_vitals)
 from rfsense.trace import load_trace, make_trace, save_trace
@@ -706,8 +706,8 @@ class TestGesture:
             rc = run(["gesture", *args, "--config", str(cfg), "-o", str(tmp_path / "out")])
             assert rc == 1
             err = capsys.readouterr().err
-            assert err == (f"error: {first}: mean_window_s 0.001 is below 1.5 samples "
-                           f"at 449.0 Hz\n"), args
+            assert err == (f"error: {first}: mean_window_s * fs is 0.449, which rounds "
+                           f"to 0 samples\n"), args
             assert not (tmp_path / "out").exists()
 
     def test_failed_train_and_eval_leave_no_output_dir(self, gesture_corpus, tmp_path):
@@ -975,6 +975,35 @@ class TestOversizedDurations:
                     "--alpha-file", str(calibrated / "alpha.txt")], 1,
                    f"{crossing_files[0]}: {key} * fs is inf, not a sample count "
                    "up to 2**62", tmp_path, capsys)
+
+    def test_speed_hop_under_half_a_sample_exits_1(self, calibrated, crossing_files,
+                                                   tmp_path, capsys):
+        """It was taken as a 1-sample hop while manifest.json recorded 1e-09."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speed": {"hop_s": 1e-9}}))
+        self.check(["speed", "estimate", str(crossing_files[0]), "--config", str(cfg),
+                    "--alpha-file", str(calibrated / "alpha.txt")], 1,
+                   f"{crossing_files[0]}: hop_s * fs is {1e-9 * 449.0!r}, which rounds "
+                   "to 0 samples", tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["simulate vitals", "simulate gesture",
+                                         "simulate corpora", "gesture train"])
+    def test_negative_seed_exits_2(self, command, gesture_corpus, tmp_path, capsys):
+        """simulate printed numpy's "expected non-negative integer", naming
+        no flag, and gesture train passed the seed on to the forest."""
+        corpus = [str(gesture_corpus[0])] if command == "gesture train" else []
+        self.check([*command.split(), *corpus, "--seed", "-1"], 2,
+                   "--seed must be >= 0, not -1", tmp_path, capsys)
+
+    def test_memory_error_without_a_message_exits_1(self, vitals_dir, monkeypatch,
+                                                    tmp_path, capsys):
+        """Python's own MemoryError carries no message and printed `error: `
+        alone."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr(heart, "stream_heart_rate", no_memory)
+        self.check(["heartrate", str(vitals_dir / "vitals.csv")], 1, "out of memory",
+                   tmp_path, capsys)
 
     def test_speed_nfft_no_memory_holds_exits_1(self, calibrated, crossing_files,
                                                 tmp_path, capsys):

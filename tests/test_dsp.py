@@ -104,6 +104,7 @@ class TestHampel:
         ({"n_sigmas": -3.0}, "n_sigmas must be finite and positive, not -3.0"),
         ({"half_window": np.nan}, "half_window must be >= 1, not nan"),
         ({"half_window": 0}, "half_window must be >= 1, not 0"),
+        ({"half_window": 2.5}, "half_window must be an integer, not 2.5"),
     ])
     def test_config_refuses_nan_and_non_positive_values(self, fields, what):
         # n_sigmas=nan used to pass `n_sigmas <= 0` and keep every outlier
@@ -259,11 +260,13 @@ class TestHampel:
         # anywhere or, with the flag set, within k of the right end. block=7
         # splits the uncertified windows into blocks of one to three rows and
         # the interior into spans of four windows: up to 55 spans at k=1 and
-        # 4 at k=25.
+        # 4 at k=25. The edge refresh of two random slices of the same
+        # series must equal the filter of each slice.
         if block is not None:
             monkeypatch.setattr(dsp, "_BLOCK", block)
         n = 2 * k + 1 + extra
-        x = np.round(np.random.default_rng(seed).standard_t(2, n) / step) * step
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.standard_t(2, n) / step) * step
         for pos, at_end, value in special:
             x[n - 1 - pos % (k + 1) if at_end else pos % n] = value
         cfg = HampelConfig(n_sigmas=n_sigmas, half_window=k)
@@ -271,6 +274,11 @@ class TestHampel:
         got = hampel_filter(x, cfg)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        length = int(rng.integers(2 * k + 1, n + 1))
+        starts = rng.integers(0, n - length + 1, 2)
+        rows = hampel_refresh_edges(x, got, starts, length, cfg)
+        for s, row in zip(starts, rows):
+            assert row.tobytes() == naive_hampel(x[s:s + length], cfg).tobytes()
 
     @pytest.mark.parametrize("value", [-1e300, 40.0, 1e300])
     def test_outlier_near_a_span_boundary(self, monkeypatch, value):
@@ -396,7 +404,7 @@ class TestButterworth:
         assert len(butterworth_lowpass(6, 90.0, 449.0).sos) == 3
 
     def test_unsupported_order_rejected(self):
-        for bad in (1, 3, 5, 7, 0, -2, 4.5, math.nan, "4"):
+        for bad in (1, 3, 5, 7, 0, -2, 4.5, 4.0, math.nan, "4"):
             msg = re.escape(f"order must be 2, 4, 6 or 8, not {bad!r}")
             with pytest.raises(ValueError, match=f"^{msg}$"):
                 butterworth_bandpass(bad, 0.8, 5.0, 449.0)
@@ -542,6 +550,17 @@ class TestSpectrogram:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             spectrogram(np.zeros(50), 100.0, window_s=2.0, hop_s=0.5)
+
+    @pytest.mark.parametrize("key, samples, count", [("hop_s", 0.4, 0),
+                                                      ("window_s", 1.4, 1)])
+    def test_sub_sample_hop_and_window_are_refused(self, key, samples, count):
+        """A hop under half a sample was taken as a 1-sample hop, silently."""
+        fs = 100.0
+        times = {"window_s": 2.0, "hop_s": 0.5, key: samples / fs}
+        what = re.escape(f"{key} * fs is {times[key] * fs!r}, "
+                         f"which rounds to {count} samples")
+        with pytest.raises(ValueError, match=f"^{what}$"):
+            spectrogram(np.zeros(500), fs, **times)
 
     @pytest.mark.parametrize("block", [None, 1, 3000])
     @pytest.mark.parametrize("hop_s, nfft", [(0.5, None), (0.01, 512), (3.3, 1024)])

@@ -139,7 +139,8 @@ class TestSegmentation:
     @pytest.mark.parametrize("key, value", [
         ("lowpass_order", 3), ("lowpass_order", 10), ("lowpass_cutoff_hz", 0.0),
         ("lowpass_cutoff_hz", -5.0), ("mean_window_s", 0.0), ("mean_window_s", -1.0),
-        ("merge_gap_s", -0.1),
+        ("merge_gap_s", -0.1), ("short_window", 45.5), ("long_window", 4490.5),
+        ("lowpass_order", 4.0),
     ])
     def test_config_refuses_what_its_kernels_cannot_use(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must"):
@@ -170,8 +171,8 @@ class TestSegmentation:
         saw rounding residue in place of the series."""
         cfg = replace(TEST_CFG, mean_window_s=samples / FS)
         x = quiet_trace(45.0, seed=2)
-        what = re.escape(f"mean_window_s {cfg.mean_window_s!r} is below 1.5 samples "
-                         f"at {FS!r} Hz")
+        what = re.escape(f"mean_window_s * fs is {cfg.mean_window_s * FS!r}, "
+                         f"which rounds to {round(cfg.mean_window_s * FS)} samples")
         with pytest.raises(ValueError, match=f"^{what}$"):
             segment(make_trace(x, FS), cfg)
         with pytest.raises(ValueError, match=f"^{what}$"):

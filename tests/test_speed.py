@@ -72,6 +72,7 @@ class TestConfig:
         dict(window_s=0.0),
         dict(hop_s=-0.1),
         dict(smoothing_window=0),
+        dict(smoothing_window=2.5),
         dict(crossing_threshold_hz=0.0),
         dict(alpha_m=-1.0),
         dict(search_interval_s=0.0),
