@@ -326,24 +326,8 @@ def _cmd_gesture(args, config: dict) -> int:
     cfg_used = {"segmentation": asdict(seg_cfg)}
     out = Path(args.output)
 
-    if args.action == "train":
-        entries = _read_gesture_manifest(Path(args.corpus))
-        data, skipped = [], 0
-        for path, label in entries:
-            fv = _dominant_feature(path, seg_cfg)
-            if fv is None:
-                skipped += 1
-                continue
-            data.append((fv, label))
-        if skipped:
-            print(f"warning: no activity detected in {skipped} training "
-                  f"trace(s); trained on {len(data)}", file=sys.stderr)
-        model = gesture.train(data, kind=args.kind, seed=args.seed)
-        return _write_outputs(out, "gesture train", args.seed,
-                              {**cfg_used, "kind": args.kind}, [args.corpus],
-                              {out / "model.json": partial(gesture.save_model, model)})
-
-    model = gesture.load_model(args.model)
+    if args.action != "train":
+        model = gesture.load_model(args.model)
 
     if args.action == "classify":
         fv = _dominant_feature(args.trace, seg_cfg)
@@ -358,19 +342,24 @@ def _cmd_gesture(args, config: dict) -> int:
             out / "prediction.csv": _table(
                 ["file", "predicted"], [[Path(args.trace).name, label or "(none)"]])})
 
-    # eval
-    entries = _read_gesture_manifest(Path(args.corpus))
-    rows, data = [], []
-    for path, label in entries:
-        name = os.path.relpath(path, args.corpus)   # relative to the manifest
-        fv = _dominant_feature(path, seg_cfg)
-        if fv is None:
-            rows.append([name, label, "(none)"])
-            continue
-        rows.append([name, label, gesture.classify(model, fv)])
-        data.append((fv, label))
+    featured = [(path, label, _dominant_feature(path, seg_cfg))
+                for path, label in _read_gesture_manifest(Path(args.corpus))]
+    data = [(fv, label) for _, label, fv in featured if fv is not None]
+    if args.action == "train":
+        if len(data) < len(featured):
+            print(f"warning: no activity detected in {len(featured) - len(data)} "
+                  f"training trace(s); trained on {len(data)}", file=sys.stderr)
+        model = gesture.train(data, kind=args.kind, seed=args.seed)
+        return _write_outputs(out, "gesture train", args.seed,
+                              {**cfg_used, "kind": args.kind}, [args.corpus],
+                              {out / "model.json": partial(gesture.save_model, model)})
+
+    # eval; a trace's name is relative to the manifest
     if not data:
         raise UsageError("no gestures detected anywhere in the corpus")
+    rows = [[os.path.relpath(path, args.corpus), label,
+             "(none)" if fv is None else gesture.classify(model, fv)]
+            for path, label, fv in featured]
     result = gesture.evaluate(model, data)
 
     conf_rows = [[GESTURE_LABELS[i]] + [float(x) for x in result.confusion[i]]

@@ -356,42 +356,16 @@ def _prototype_poles(n: int) -> np.ndarray:
     return np.exp(1j * np.pi * (2 * k + n + 1) / (2 * n))
 
 
-def _bilinear_poles(analog_poles: np.ndarray, fs: float) -> np.ndarray:
+def _butterworth(pairs, zeros: tuple, f_unit_hz: float, fs: float) -> IirFilter:
+    """One biquad with the two `zeros` per conjugate pair of analog poles,
+    mapped by the bilinear transform, in the order of each pair's least
+    (real, |imag|) digital pole, and scaled to unit gain at f_unit_hz."""
     c = 2.0 * fs
-    return (c + analog_poles) / (c - analog_poles)
-
-
-def _pair_conjugates(poles: np.ndarray) -> list[tuple[complex, complex]]:
-    pairs = []
-    used = np.zeros(len(poles), dtype=bool)
-    order = np.lexsort((np.abs(poles.imag), poles.real))
-    for i in order:
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(poles[i].imag) > 1e-10:
-            # find the conjugate partner
-            cand = np.where(~used & (np.abs(poles - np.conj(poles[i])) < 1e-8))[0]
-            if len(cand) == 0:
-                raise ValueError("complex pole without conjugate partner")
-            j = cand[0]
-        else:
-            cand = np.where(~used & (np.abs(poles.imag) <= 1e-10))[0]
-            if len(cand) == 0:
-                raise ValueError("odd number of real poles cannot form biquads")
-            j = cand[0]
-        used[j] = True
-        pairs.append((poles[i], poles[j]))
-    return pairs
-
-
-def _butterworth(analog: np.ndarray, zeros: tuple, f_unit_hz: float,
-                 fs: float) -> IirFilter:
-    """The analog poles mapped by the bilinear transform, one biquad per
-    conjugate pair with the two `zeros`, scaled to unit gain at f_unit_hz."""
+    analog = np.asarray(list(pairs))
+    digital = sorted((c + analog) / (c - analog),
+                     key=lambda pair: min((p.real, abs(p.imag)) for p in pair))
     b = np.real(np.poly(zeros))
-    sos = np.asarray([np.concatenate([b, np.real(np.poly(pair))])
-                      for pair in _pair_conjugates(_bilinear_poles(analog, fs))])
+    sos = np.asarray([np.concatenate([b, np.real(np.poly(pair))]) for pair in digital])
     sos[0, :3] *= 1.0 / abs(sos_response(sos, [f_unit_hz], fs)[0])
     return IirFilter(sos)
 
@@ -410,7 +384,8 @@ def butterworth_lowpass(order: int, cutoff_hz: float, fs: float) -> IirFilter:
     if not 0 < cutoff_hz < fs / 2:
         raise ValueError(f"cutoff {cutoff_hz} Hz outside (0, fs/2)")
     wc = 2.0 * fs * np.tan(np.pi * cutoff_hz / fs)
-    return _butterworth(wc * _prototype_poles(order), (-1.0, -1.0), 0.0, fs)
+    poles = wc * _prototype_poles(order)  # poles k and order - 1 - k are conjugates
+    return _butterworth(zip(poles[:order // 2], poles[::-1]), (-1.0, -1.0), 0.0, fs)
 
 
 def butterworth_bandpass(order: int, low_hz: float, high_hz: float, fs: float) -> IirFilter:
@@ -427,15 +402,22 @@ def butterworth_bandpass(order: int, low_hz: float, high_hz: float, fs: float) -
     w1 = 2.0 * fs * np.tan(np.pi * low_hz / fs)
     w2 = 2.0 * fs * np.tan(np.pi * high_hz / fs)
     bw, w0sq = w2 - w1, w1 * w2
-    analog = []
+    plus, minus = [], []
     for p in _prototype_poles(n):
         bp = bw * p
         disc = np.sqrt(bp * bp - 4.0 * w0sq)
-        analog.extend([(bp + disc) / 2.0, (bp - disc) / 2.0])
+        plus.append((bp + disc) / 2.0)
+        minus.append((bp - disc) / 2.0)
+    # The images of conjugate prototype poles k and n - 1 - k with the same
+    # sign of disc are conjugates; those of a real prototype pole (odd n),
+    # conjugate or both real, pair with each other.
+    h = n // 2
+    pairs = [*zip(plus[:h], plus[::-1]), *zip(minus[:h], minus[::-1]),
+             *zip(plus[h:n - h], minus[h:n - h])]
     f_center = fs / np.pi * np.arctan(np.sqrt(w0sq) / (2.0 * fs))
     # n zeros at z=+1 (from the n analog zeros at s=0) and n at z=-1 (from
     # the implicit zeros at infinity): one of each per biquad.
-    return _butterworth(np.asarray(analog), (1.0, -1.0), f_center, fs)
+    return _butterworth(pairs, (1.0, -1.0), f_center, fs)
 
 
 # ---------------------------------------------------------------------------

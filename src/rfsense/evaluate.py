@@ -41,10 +41,11 @@ def corpus_speed_config(noise_seed: int) -> SpeedConfig:
 
 def hr_errors(trace: RssTrace, estimates: list[HeartRateEstimate]) -> np.ndarray:
     """Estimated minus true bpm for each `estimate` update, in order; the
-    true rate is interpolated at the update time."""
+    true rate is interpolated at the update time, which like the heart-rate
+    stream's counts seconds from the trace's first sample."""
     usable = [e for e in estimates if e.status == STATUS_ESTIMATE]
-    truth = np.interp([e.time_s for e in usable], trace.timestamps,
-                      trace.ground_truth.hr_bpm)
+    since_first = trace.timestamps - trace.timestamps[:1]
+    truth = np.interp([e.time_s for e in usable], since_first, trace.ground_truth.hr_bpm)
     return np.array([e.bpm for e in usable]) - truth
 
 

@@ -7,6 +7,10 @@ second harmonic (the pulse train is sharp, so the harmonic often carries
 more power than the fundamental) and picking the argmax over the resting
 band. A peak-power threshold suppresses estimates during gross motion,
 which raises the PSD peak by orders of magnitude.
+
+Update times (time_s, the t_s column of `rfsense heartrate`) count seconds
+from the trace's first sample, whatever its first timestamp, as speed's
+t_cross_s does.
 """
 
 from __future__ import annotations

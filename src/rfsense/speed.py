@@ -53,7 +53,7 @@ class SpeedConfig:
 
 @dataclass(frozen=True)
 class CrossingEvent:
-    t_cross_s: float
+    t_cross_s: float  # seconds from the trace's first sample
     f_min_av_hz: float
     v_hat_mps: float
 

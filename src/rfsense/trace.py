@@ -10,8 +10,11 @@ File format (one trace per file):
     t_s,rss_db[,gt_*...]
     0.0,-50.1,...
 
-Numeric ground truth is stored as ``gt_``-prefixed columns (per-sample series
-such as ``gt_hr_bpm``; per-trace scalars are broadcast to constant columns).
+Numeric ground truth is stored as ``gt_``-prefixed columns: the per-sample
+series ``gt_hr_bpm`` and the per-trace scalars ``gt_speed_mps``,
+``gt_cross_t_s``, ``gt_start_s`` and ``gt_end_s``, broadcast to constant
+columns. These five are the only columns allowed after ``t_s,rss_db``, each
+at most once.
 The gesture label, being a string, lives in the header line as
 ``gt_label=<name>``. All floats are written with shortest round-trip repr, so
 ``load_trace(save_trace(t)) == t`` exactly and repeated writes are
@@ -37,19 +40,21 @@ row is line 3):
   value read is the first row's, so an edited later row would otherwise be
   ignored without a word.
 
-Non-UTF-8 bytes, a missing or malformed metadata line or value, unexpected
-columns and a NaN or infinite RSS sample are named by path alone.
+Non-UTF-8 bytes, a missing or malformed metadata line or value, a column
+that is unknown or repeated, and a NaN or infinite RSS sample or truth
+value are named by path alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import _positive, _require_finite
+from .dsp import _positive, _require, _require_finite
 
 DEFAULT_SAMPLE_RATE_HZ = 449.0
 DEFAULT_CENTER_FREQ_HZ = 434e6
@@ -118,8 +123,9 @@ class TraceMetadata:
 class RssTrace:
     """Uniformly sampled RSS series with metadata and optional ground truth.
 
-    Every RSS sample must be finite: a NaN or an infinite sample raises
-    ValueError here rather than reaching an estimator as a plausible number.
+    Every RSS sample and ground-truth number must be finite: a NaN or an
+    infinite one raises ValueError here, naming its file column, rather
+    than reaching an estimator or a score as a plausible number.
 
     timestamps may be a read-only view of the shared nominal axis (see
     make_trace): writing to it raises ValueError, and a caller that needs
@@ -148,6 +154,10 @@ class RssTrace:
             gt.hr_bpm = np.asarray(gt.hr_bpm, dtype=np.float64)
             if len(gt.hr_bpm) != len(self.rss_db):
                 raise ValueError("gt hr_bpm series must match trace length")
+            _require_finite(gt.hr_bpm, "gt_hr_bpm")
+        for attr, col in _GT_SCALAR_COLUMNS:
+            if (value := getattr(gt, attr)) is not None:
+                _require("finite", math.isfinite, **{col: value})
 
     def __len__(self) -> int:
         return len(self.rss_db)
@@ -381,6 +391,13 @@ def load_trace(path: str | os.PathLike) -> RssTrace:
 
     if colnames[:2] != ["t_s", "rss_db"]:
         raise ValueError(f"{path}: expected columns t_s,rss_db..., got {colnames}")
+    truth_columns = ["gt_hr_bpm"] + [col for _, col in _GT_SCALAR_COLUMNS]
+    for i, name in enumerate(colnames[2:], start=2):
+        if name not in truth_columns:
+            raise ValueError(f"{path}: column {name!r} is not one of those allowed "
+                             f"after t_s,rss_db: {','.join(truth_columns)}")
+        if name in colnames[2:i]:
+            raise ValueError(f"{path}: column {name!r} is repeated")
     if any(line.strip() for line in lines):
         try:
             data = np.loadtxt(lines, **_LOADTXT)

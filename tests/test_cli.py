@@ -24,6 +24,18 @@ def run(args):
     return cli.main(args)
 
 
+def _with_column(text: str, col: str, field) -> str:
+    """Trace file text with each body row's `col` field replaced by
+    field(row index), or kept where that is None."""
+    lines = text.splitlines()
+    i = lines[1].split(",").index(col)
+    for row, line in enumerate(lines[2:]):
+        fields = line.split(",")
+        fields[i] = field(row) or fields[i]
+        lines[row + 2] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="module")
 def vitals_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("vitals")
@@ -425,6 +437,31 @@ class TestHeartrate:
         rc = run(["heartrate", str(tmp_path / "ghost.csv"), "-o", str(tmp_path)])
         assert rc == 1
 
+    def test_nan_truth_rate_exits_1_naming_it(self, vitals_dir, tmp_path, capsys):
+        # scored, it would give rmse_bpm,nan
+        path = tmp_path / "nan_hr.csv"
+        path.write_text(_with_column((vitals_dir / "vitals.csv").read_text(), "gt_hr_bpm",
+                                     lambda row: "nan" if row == 100 else None))
+        rc = run(["heartrate", str(path), "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: gt_hr_bpm holds 1 non-finite (NaN/+-inf) sample(s); "
+            "the first is at index 100\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_misspelled_truth_column_exits_1_naming_it(self, vitals_dir, tmp_path,
+                                                       capsys):
+        # loaded, it would be a trace with no truth, and so no rmse_bpm
+        path = tmp_path / "misspelled.csv"
+        path.write_text((vitals_dir / "vitals.csv").read_text()
+                        .replace(",gt_hr_bpm\n", ",gt_hr_bmp\n", 1))
+        rc = run(["heartrate", str(path), "-o", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: column 'gt_hr_bmp' is not one of")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_trace_shorter_than_the_hampel_window_writes_no_estimates(self, tmp_path):
         # 0.3 s at 449 Hz is shorter than the 201-sample Hampel window and
         # than the first update period: no update, so no window to filter
@@ -513,6 +550,26 @@ class TestGesture:
                   "-o", str(cls_dir)])
         assert rc == 0
         assert (cls_dir / "prediction.csv").read_text().startswith("file,predicted")
+
+    def test_silent_trace_is_skipped_in_train_and_listed_in_eval(
+            self, gesture_corpus, tmp_path, capsys):
+        train, _, seg_cfg = gesture_corpus
+        corpus = tmp_path / "corpus"
+        shutil.copytree(train, corpus)
+        save_trace(simulate_vitals(VitalSignsProfile(), NoiseModel(seed=5), 20.0),
+                   corpus / "idle.csv")
+        with open(corpus / "manifest.csv", "a") as fh:
+            fh.write("idle.csv,kick,,\n")
+        assert run(["gesture", "train", str(corpus), "--kind", "knn",
+                    "--config", str(seg_cfg), "-o", str(tmp_path / "m")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: no activity detected in 1 training trace(s); trained on 8\n")
+        assert run(["gesture", "eval", str(corpus), "--model", str(tmp_path / "m/model.json"),
+                    "--config", str(seg_cfg), "-o", str(tmp_path / "e")]) == 0
+        pred = (tmp_path / "e/predictions.csv").read_text().splitlines()
+        assert len(pred) == 10 and pred[-1] == "idle.csv,kick,(none)"
+        summary = (tmp_path / "e/summary.csv").read_text().splitlines()
+        assert "n_samples,8" in summary and "n_undetected,1" in summary
 
     def test_unknown_manifest_label_rejected(self, gesture_corpus, tmp_path):
         train, _, seg_cfg = gesture_corpus
@@ -858,6 +915,19 @@ class TestSpeed:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:500: gt_speed_mps is 1.7 here")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_calibrate_with_nan_truth_speed_exits_1_naming_it(
+            self, crossing_files, link_config, tmp_path, capsys):
+        # calibrated, it would write alpha=nan, which speed estimate cannot load
+        path = tmp_path / "nan_speed.csv"
+        path.write_text(_with_column(crossing_files[1].read_text(), "gt_speed_mps",
+                                     lambda _: "nan"))
+        rc = run(["speed", "calibrate", str(crossing_files[0]), str(path),
+                  "--config", str(link_config), "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: gt_speed_mps must be finite, not nan\n")
         assert not (tmp_path / "out").exists()
 
 

@@ -370,6 +370,61 @@ def analytic_bandpass_mag(f, order, low_hz, high_hz, fs):
     return 1.0 / np.sqrt(1.0 + om ** (2 * n))
 
 
+def _search_sos(analog, zeros, f_unit_hz, fs):
+    """The sos of the design path that paired digital poles by search: every
+    analog pole mapped by the bilinear transform, then a walk in
+    (real, |imag|) order taking each pole's conjugate, or for a real pole the
+    next real one, from those within a tolerance. The designers pair
+    poles by construction and must give the same bytes."""
+    c = 2.0 * fs
+    poles = (c + analog) / (c - analog)
+    pairs, used = [], np.zeros(len(poles), dtype=bool)
+    for i in np.lexsort((np.abs(poles.imag), poles.real)):
+        if used[i]:
+            continue
+        used[i] = True
+        if abs(poles[i].imag) > 1e-10:
+            cand = np.flatnonzero(~used & (np.abs(poles - np.conj(poles[i])) < 1e-8))
+        else:
+            cand = np.flatnonzero(~used & (np.abs(poles.imag) <= 1e-10))
+        used[cand[0]] = True
+        pairs.append((poles[i], poles[cand[0]]))
+    b = np.real(np.poly(zeros))
+    sos = np.asarray([np.concatenate([b, np.real(np.poly(pair))]) for pair in pairs])
+    sos[0, :3] *= 1.0 / abs(sos_response(sos, [f_unit_hz], fs)[0])
+    return IirFilter(sos)
+
+
+def _search_lowpass(order, cutoff_hz, fs):
+    wc = 2.0 * fs * np.tan(np.pi * cutoff_hz / fs)
+    return _search_sos(wc * dsp._prototype_poles(order), (-1.0, -1.0), 0.0, fs)
+
+
+def _search_bandpass(order, low_hz, high_hz, fs):
+    w1 = 2.0 * fs * np.tan(np.pi * low_hz / fs)
+    w2 = 2.0 * fs * np.tan(np.pi * high_hz / fs)
+    bw, w0sq = w2 - w1, w1 * w2
+    analog = []
+    for p in dsp._prototype_poles(order // 2):
+        bp = bw * p
+        disc = np.sqrt(bp * bp - 4.0 * w0sq)
+        analog.extend([(bp + disc) / 2.0, (bp - disc) / 2.0])
+    f_center = fs / np.pi * np.arctan(np.sqrt(w0sq) / (2.0 * fs))
+    return _search_sos(np.asarray(analog), (1.0, -1.0), f_center, fs)
+
+
+_SEARCH_DESIGNS = {butterworth_lowpass: _search_lowpass,
+                   butterworth_bandpass: _search_bandpass}
+
+
+def _outcome(design, *args):
+    """The sos bytes of a design, or its refusal message."""
+    try:
+        return design(*args).sos.tobytes()
+    except ValueError as e:
+        return str(e)
+
+
 class TestButterworth:
     @pytest.mark.parametrize("order", [2, 4, 6, 8])
     def test_lowpass_matches_analytic_magnitude(self, order):
@@ -431,6 +486,31 @@ class TestButterworth:
         bp = butterworth_bandpass(order, 0.8, 5.0, 449.0).sos
         got = tuple(hashlib.sha256(sos.tobytes()).hexdigest() for sos in (lp, bp))
         assert got == self.SOS_SHA256[order]
+
+    def test_pairing_matches_the_pole_search_on_random_designs(self):
+        # Orders 2-8 at 100 Hz to 44.1 kHz, band edges down to 1e-5 of
+        # Nyquist and bands 1.001 to 1000 wide, so that a real prototype
+        # pole's images are both real in some designs and conjugate in others.
+        rng = np.random.default_rng(29)
+        mismatched, real_images = [], set()
+        for _ in range(1500):
+            order = int(rng.choice([2, 4, 6, 8]))
+            fs = float(np.exp(rng.uniform(np.log(100.0), np.log(44_100.0))))
+            lo = fs / 2 * float(np.exp(rng.uniform(np.log(1e-5), np.log(0.99))))
+            if rng.random() < 0.5:
+                design, args = butterworth_lowpass, (order, lo, fs)
+            else:
+                hi = min(lo * float(np.exp(rng.uniform(np.log(1.001), np.log(1000.0)))),
+                         0.999 * fs / 2)
+                design, args = butterworth_bandpass, (order, lo, hi, fs)
+                w1, w2 = (2.0 * fs * np.tan(np.pi * f / fs) for f in (lo, hi))
+                if order // 2 % 2:
+                    real_images.add(bool((w2 - w1) ** 2 > 4.0 * w1 * w2))
+            got, want = (_outcome(f, *args) for f in (design, _SEARCH_DESIGNS[design]))
+            if got != want:
+                mismatched.append(args)
+        assert real_images == {True, False}
+        assert mismatched == []
 
     def test_band_limits_validated(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,18 @@ def test_hr_rmse_matches_inline_numpy():
     assert rmse(errors) == float(np.sqrt(np.mean((bpm - ref) ** 2)))
 
 
+def test_hr_errors_count_seconds_from_the_first_sample():
+    # the updates are stamped in seconds from the first sample, so a copy of
+    # the trace whose t_s starts 60 s later must score the same
+    trace = simulate_vitals(
+        VitalSignsProfile(heart_rate_bpm=((0.0, 60.0), (120.0, 72.0))),
+        NoiseModel(seed=4), 120.0)
+    shifted = replace(trace, timestamps=trace.timestamps + 60.0)
+    ests = stream_heart_rate(trace, HeartRateConfig())
+    assert [e.time_s for e in ests] == [e.time_s for e in stream_heart_rate(shifted)]
+    assert hr_errors(shifted, ests).tolist() == hr_errors(trace, ests).tolist()
+
+
 def test_crossing_points_pairs_f_min_with_true_speed():
     cfg = corpus_speed_config(7)
     walks = [simulate_crossing(CROSSING_LINK,

@@ -141,6 +141,36 @@ def test_load_names_file_of_non_finite_sample(tmp_path):
     assert "1 non-finite" in str(exc.value) and "index 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("attr, col", SCALAR_COLUMNS)
+def test_non_finite_scalar_truth_rejected_by_column(bad, attr, col):
+    with pytest.raises(ValueError, match=f"^{col} must be finite, not {bad!r}$"):
+        make_trace(np.zeros(5), ground_truth=GroundTruth(**{attr: bad}))
+
+
+def test_non_finite_hr_truth_rejected_by_column():
+    hr = np.full(10, 66.0)
+    hr[[4, 8]] = np.nan
+    with pytest.raises(ValueError, match=r"^gt_hr_bpm holds 2 non-finite .* index 4$"):
+        make_trace(np.zeros(10), ground_truth=GroundTruth(hr_bpm=hr))
+
+
+@pytest.mark.parametrize("col", ["gt_hr_bpm", "gt_speed_mps", "gt_end_s"])
+def test_load_names_file_and_column_of_non_finite_truth(tmp_path, col):
+    p = tmp_path / "t.csv"
+    truth = GroundTruth(hr_bpm=np.full(4, 66.0), speed_mps=1.0, end_s=2.0)
+    save_trace(make_trace(np.zeros(4), ground_truth=truth), p)
+    lines = p.read_text().splitlines()
+    i = lines[1].split(",").index(col)
+    for row in range(2, 6):
+        fields = lines[row].split(",")
+        fields[i] = "nan"
+        lines[row] = ",".join(fields)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {col} ')}"):
+        load_trace(p)
+
+
 def test_duration_uses_nominal_rate():
     tr = make_trace(np.zeros(449), sample_rate_hz=449.0)
     assert tr.duration_s == pytest.approx(1.0)
@@ -466,6 +496,31 @@ class TestLoadErrors:
         p.write_bytes(p.read_bytes().replace(old, new, 1))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: ')}{what}"):
             load_trace(p)
+
+    @pytest.mark.parametrize("header, bad, what", [
+        ("t_s,rss_db,gt_hr_bmp", "gt_hr_bmp", "is not one of those allowed"),
+        ("t_s,rss_db,gt_label", "gt_label", "is not one of those allowed"),
+        ("t_s,rss_db,rss_db", "rss_db", "is not one of those allowed"),
+        ("t_s,rss_db,", "", "is not one of those allowed"),
+        ("t_s,rss_db,gt_hr_bpm,gt_speed_mps,gt_hr_bpm", "gt_hr_bpm", "is repeated"),
+    ])
+    def test_unknown_or_repeated_column_named(self, tmp_path, header, bad, what):
+        p = tmp_path / "t.csv"
+        width = header.count(",") + 1
+        p.write_text("# sample_rate_hz=449.0,center_freq_hz=434000000.0\n"
+                     + header + "\n" + ",".join(["0.0"] + ["66.0"] * (width - 1)) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: column {bad!r} {what}')}"):
+            load_trace(p)
+
+    def test_every_truth_column_loads_in_the_order_written(self, tmp_path):
+        p = tmp_path / "t.csv"
+        truth = GroundTruth(hr_bpm=np.full(3, 66.0), speed_mps=1.0, cross_t_s=0.5,
+                            label="punch", start_s=0.0, end_s=0.004)
+        trace = make_trace(np.zeros(3), ground_truth=truth)
+        save_trace(trace, p)
+        columns = p.read_text().splitlines()[1]
+        assert columns == "t_s,rss_db,gt_hr_bpm," + ",".join(c for _, c in SCALAR_COLUMNS)
+        assert load_trace(p).ground_truth == truth
 
     @pytest.mark.parametrize("col, first, edited", [
         ("gt_speed_mps", 0.3, 1.7),
