@@ -23,9 +23,7 @@ from rfsense.speed import calibrate_alpha, estimate_speed
 
 
 def crossing_at(speed, angle, seed):
-    path = WalkPath(crossing_m=1.0, angle_deg=angle, speed_mps=speed,
-                    start_offset_m=-speed * CROSSING_DURATION_S / 2.0,
-                    duration_s=CROSSING_DURATION_S)
+    path = WalkPath.centred(1.0, angle, speed, CROSSING_DURATION_S)
     return simulate_crossing(CROSSING_LINK, path, NoiseModel(seed=seed))
 
 

@@ -2,11 +2,12 @@
 
 Subcommands: simulate (vitals|crossing|gesture|corpora), heartrate,
 gesture (train|classify|eval), speed (calibrate|estimate), version.
-Each command reads its inputs and computes its results first; only then
-does `_write_outputs` make the `-o` directory, write the files and add a
-manifest.json snapshotting command, seed, effective configuration and
-every file written under `-o` (an `--alpha-file` outside it is written but
-not listed). A failed run leaves no `-o` directory. Nothing written
+Each command reads its inputs and computes its results, and returns them
+without writing anything; `main` then makes the one `_write_outputs` call,
+which makes the `-o` directory, writes the files and adds a manifest.json
+snapshotting command, seed, effective configuration and every file written
+under `-o` (an `--alpha-file` outside it is written but not listed). So a
+failed run leaves no `-o` directory. Nothing written
 carries a timestamp, so a rerun with the same arguments produces
 byte-identical files.
 
@@ -146,14 +147,15 @@ def _table(header: list[str], rows: list[list]):
 
 def _write_outputs(out: Path, command: str, seed: int, config_used: dict,
                    inputs: list, files: dict) -> int:
-    """Make the `-o` directory `out`, write each file (`files` maps its path
-    to a function that writes that path), then write manifest.json listing
-    every file that landed under `out`. Commands call this once, after their
-    inputs are read and their results computed. Returns exit status 0."""
+    """Make the `-o` directory `out`, write each file (`files` maps its path,
+    relative to `out` unless absolute, to a function that writes that path),
+    then write manifest.json listing every file that landed under `out`.
+    Returns exit status 0."""
     out.mkdir(parents=True, exist_ok=True)
     root = out.resolve()
     written = []
-    for path, write in files.items():
+    for name, write in files.items():
+        path = out / name
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
         if (where := path.resolve()).is_relative_to(root):
@@ -187,11 +189,9 @@ def _collect_traces(paths: list[str]) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args, config: dict) -> int:
-    out = Path(args.output)
+def _cmd_simulate(args, config: dict):
     if args.kind == "corpora":
-        files, cfg_used = _corpus_files(out, args.seed)
-        return _write_outputs(out, "simulate corpora", args.seed, cfg_used, [], files)
+        return _simulate_corpora(args.seed)
 
     noise = _section(config, "noise", NoiseModel, seed=args.seed)
     if args.kind == "vitals":
@@ -203,13 +203,9 @@ def _cmd_simulate(args, config: dict) -> int:
     elif args.kind == "crossing":
         link = _section(config, "link", LinkGeometry)
         body = _section(config, "body", BodyModel)
-        path_def = WalkPath(
-            crossing_m=args.position if args.position is not None else link.d / 2,
-            angle_deg=args.angle,
-            speed_mps=args.speed,
-            start_offset_m=-args.speed * args.duration / 2.0,
-            duration_s=args.duration,
-        )
+        path_def = WalkPath.centred(
+            args.position if args.position is not None else link.d / 2,
+            args.angle, args.speed, args.duration)
         trace = simulate_crossing(link, path_def, noise, body=body)
         cfg_used = {"link": asdict(link), "body": asdict(body),
                     "path": asdict(path_def)}
@@ -222,23 +218,22 @@ def _cmd_simulate(args, config: dict) -> int:
         trace = simulate_gesture(template, noise, seed=args.seed)
         cfg_used = {"template": asdict(template)}
 
-    return _write_outputs(out, f"simulate {args.kind}", args.seed, cfg_used, [],
-                          {out / f"{args.kind}.csv": partial(save_trace, trace)})
+    return cfg_used, [], {f"{args.kind}.csv": partial(save_trace, trace)}
 
 
-def _corpus_files(out: Path, seed: int) -> tuple[dict, dict]:
-    """The corpora's files for `_write_outputs`, and the corpus config."""
+def _simulate_corpora(seed: int) -> tuple[dict, list, dict]:
+    """`simulate corpora`'s config used, inputs (none) and files."""
     corpora = make_corpora(seed)
     files = {}
     for name in ("vitals", "crossing", "gesture_train", "gesture_test"):
         rows = []
         for trace in corpora[name]:
-            path = out / name / f"{trace.metadata.extras['trace_id']}.csv"
-            files[path] = partial(save_trace, trace)
+            file = f"{trace.metadata.extras['trace_id']}.csv"
+            files[f"{name}/{file}"] = partial(save_trace, trace)
             gt = trace.ground_truth
-            rows.append([path.name, gt.label, gt.start_s, gt.end_s])
+            rows.append([file, gt.label, gt.start_s, gt.end_s])
         if name.startswith("gesture"):
-            files[out / name / "manifest.csv"] = _table(
+            files[f"{name}/manifest.csv"] = _table(
                 ["file", "label", "start_s", "end_s"], rows)
 
     # threshold calibrated against an empty scene with the same noise seed
@@ -247,8 +242,8 @@ def _corpus_files(out: Path, seed: int) -> tuple[dict, dict]:
         "segmentation": dict(CORPUS_SEGMENTATION),
         "speed": {**CORPUS_SPEED, "crossing_threshold_hz": thr},
     }
-    files[out / "corpus_config.json"] = partial(_write_json, corpus_config)
-    return files, corpus_config
+    files["corpus_config.json"] = partial(_write_json, corpus_config)
+    return corpus_config, [], files
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +251,7 @@ def _corpus_files(out: Path, seed: int) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_heartrate(args, config: dict) -> int:
+def _cmd_heartrate(args, config: dict):
     window = {} if args.window is None else {"window_s": args.window}
     cfg = _section(config, "heart", HeartRateConfig, **window)
     trace = load_trace(args.trace)
@@ -276,13 +271,11 @@ def _cmd_heartrate(args, config: dict) -> int:
     ]
     if trace.ground_truth.hr_bpm is not None and usable:
         summary.append(["rmse_bpm", rmse(hr_errors(trace, estimates))])
-    out = Path(args.output)
-    return _write_outputs(out, "heartrate", args.seed, {"heart": asdict(cfg)},
-                          [args.trace], {
-        out / "estimates.csv": _table(
+    return {"heart": asdict(cfg)}, [args.trace], {
+        "estimates.csv": _table(
             ["t_s", "bpm", "status", "peak_power"],
             [[e.time_s, e.bpm, e.status, e.peak_power] for e in estimates]),
-        out / "summary.csv": _table(["metric", "value"], summary)})
+        "summary.csv": _table(["metric", "value"], summary)}
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +314,9 @@ def _dominant_feature(path, seg_cfg: SegmentationConfig):
         return gesture.extract_features(best, trace.metadata.sample_rate_hz)
 
 
-def _cmd_gesture(args, config: dict) -> int:
+def _cmd_gesture(args, config: dict):
     seg_cfg = _section(config, "segmentation", SegmentationConfig)
     cfg_used = {"segmentation": asdict(seg_cfg)}
-    out = Path(args.output)
 
     if args.action != "train":
         model = gesture.load_model(args.model)
@@ -337,10 +329,8 @@ def _cmd_gesture(args, config: dict) -> int:
         else:
             label = gesture.classify(model, fv)
             print(label)
-        return _write_outputs(out, "gesture classify", args.seed, cfg_used,
-                              [args.trace, args.model], {
-            out / "prediction.csv": _table(
-                ["file", "predicted"], [[Path(args.trace).name, label or "(none)"]])})
+        return cfg_used, [args.trace, args.model], {"prediction.csv": _table(
+            ["file", "predicted"], [[Path(args.trace).name, label or "(none)"]])}
 
     featured = [(path, label, _dominant_feature(path, seg_cfg))
                 for path, label in _read_gesture_manifest(Path(args.corpus))]
@@ -350,9 +340,8 @@ def _cmd_gesture(args, config: dict) -> int:
             print(f"warning: no activity detected in {len(featured) - len(data)} "
                   f"training trace(s); trained on {len(data)}", file=sys.stderr)
         model = gesture.train(data, kind=args.kind, seed=args.seed)
-        return _write_outputs(out, "gesture train", args.seed,
-                              {**cfg_used, "kind": args.kind}, [args.corpus],
-                              {out / "model.json": partial(gesture.save_model, model)})
+        return ({**cfg_used, "kind": args.kind}, [args.corpus],
+                {"model.json": partial(gesture.save_model, model)})
 
     # eval; a trace's name is relative to the manifest
     if not data:
@@ -369,12 +358,10 @@ def _cmd_gesture(args, config: dict) -> int:
                ["n_undetected", len(rows) - len(data)]]
     summary += [[f"accuracy_{label}", acc]
                 for label, acc in sorted(result.per_class_accuracy.items())]
-    return _write_outputs(out, "gesture eval", args.seed, cfg_used,
-                          [args.corpus, args.model], {
-        out / "predictions.csv": _table(["file", "actual", "predicted"], rows),
-        out / "confusion.csv": _table(["predicted\\actual"] + list(GESTURE_LABELS),
-                                      conf_rows),
-        out / "summary.csv": _table(["metric", "value"], summary)})
+    return cfg_used, [args.corpus, args.model], {
+        "predictions.csv": _table(["file", "actual", "predicted"], rows),
+        "confusion.csv": _table(["predicted\\actual"] + list(GESTURE_LABELS), conf_rows),
+        "summary.csv": _table(["metric", "value"], summary)}
 
 
 # ---------------------------------------------------------------------------
@@ -382,42 +369,35 @@ def _cmd_gesture(args, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_speed(args, config: dict) -> int:
+def _cmd_speed(args, config: dict):
     cfg = _section(config, "speed", SpeedConfig)
     files = _collect_traces(args.traces)
-    out = Path(args.output)
 
     if args.action == "calibrate":
-        points, rows, skipped = [], [], 0
+        rows = []  # file, f_min_av_hz, speed_mps: one calibration point each
         for path in files:
             trace = load_trace(path)
-            truth = trace.ground_truth.speed_mps
-            if truth is None:
-                skipped += 1
+            if (truth := trace.ground_truth.speed_mps) is None:
                 continue
             with _naming(path):
                 event = speed.crossing_frequency(trace, cfg)
-            if event is None:
-                skipped += 1
-                continue
-            points.append((event.f_min_av_hz, truth))
-            rows.append([path.name, event.f_min_av_hz, truth])
-        if len(points) < 2:
+            if event is not None:
+                rows.append([path.name, event.f_min_av_hz, truth])
+        if len(rows) < 2:
             raise UsageError("calibration needs at least two traces with "
                              "ground-truth speed and a detectable crossing")
-        if skipped:
+        if skipped := len(files) - len(rows):
             print(f"warning: skipped {skipped} trace(s) without ground truth "
                   f"or crossing", file=sys.stderr)
-        alpha, residual = speed.calibrate_alpha(points)
-        alpha_path = Path(args.alpha_file) if args.alpha_file else out / "alpha.txt"
+        alpha, residual = speed.calibrate_alpha([row[1:] for row in rows])
+        # absolute, so that it is not read as relative to -o
+        alpha_path = Path(args.alpha_file or Path(args.output, "alpha.txt")).absolute()
         alphas = speed.alphas_with(alpha_path, args.link_id, alpha)
-        cfg_used = {"speed": asdict(cfg), "link_id": args.link_id}
-        return _write_outputs(out, "speed calibrate", args.seed, cfg_used, files, {
+        return {"speed": asdict(cfg), "link_id": args.link_id}, files, {
             alpha_path: partial(speed.save_alpha, alphas=alphas),
-            out / "calibration.csv": _table(["file", "f_min_av_hz", "speed_mps"], rows),
-            out / "summary.csv": _table(["metric", "value"], [
-                ["alpha_m", alpha], ["fit_rmse_mps", residual],
-                ["n_points", len(points)]])})
+            "calibration.csv": _table(["file", "f_min_av_hz", "speed_mps"], rows),
+            "summary.csv": _table(["metric", "value"], [
+                ["alpha_m", alpha], ["fit_rmse_mps", residual], ["n_points", len(rows)]])}
 
     # estimate
     if not args.alpha_file:
@@ -433,28 +413,25 @@ def _cmd_speed(args, config: dict) -> int:
                          f"{args.alpha_file}; run `rfsense speed calibrate`")
     cfg = replace(cfg, alpha_m=alpha)
 
-    rows, errors = [], []
+    rows = []
     for path in files:
         trace = load_trace(path)
         with _naming(path):
             event = speed.estimate_speed(trace, cfg)
         truth = trace.ground_truth.speed_mps
-        if event is None:
-            rows.append([path.name, "no_crossing", None, None, None, truth])
-        else:
-            rows.append([path.name, "ok", event.t_cross_s, event.f_min_av_hz,
-                         event.v_hat_mps, truth])
-            if truth is not None:
-                errors.append(event.v_hat_mps - truth)
+        rows.append([path.name, "no_crossing", None, None, None, truth] if event is None
+                    else [path.name, "ok", event.t_cross_s, event.f_min_av_hz,
+                          event.v_hat_mps, truth])
+    errors = [v - truth for _, status, _, _, v, truth in rows
+              if status == "ok" and truth is not None]
     summary = [["alpha_m", alpha], ["n_traces", len(files)],
                ["n_crossings", sum(r[1] == "ok" for r in rows)]]
     if errors:
         summary.append(["rmse_mps", rmse(errors)])
-    cfg_used = {"speed": asdict(cfg), "link_id": args.link_id}
-    return _write_outputs(out, "speed estimate", args.seed, cfg_used, files, {
-        out / "events.csv": _table(["file", "status", "t_cross_s", "f_min_av_hz",
-                                    "v_hat_mps", "gt_speed_mps"], rows),
-        out / "summary.csv": _table(["metric", "value"], summary)})
+    return {"speed": asdict(cfg), "link_id": args.link_id}, files, {
+        "events.csv": _table(["file", "status", "t_cross_s", "f_min_av_hz",
+                              "v_hat_mps", "gt_speed_mps"], rows),
+        "summary.csv": _table(["metric", "value"], summary)}
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +529,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         _validate_args(args)
-        config = _load_config(args.config)
-        return args.func(args, config)
+        config_used, inputs, files = args.func(args, _load_config(args.config))
+        # "simulate vitals", "heartrate", "speed calibrate", ...
+        verb = args.kind if args.command == "simulate" else getattr(args, "action", "")
+        return _write_outputs(Path(args.output), f"{args.command} {verb}".rstrip(),
+                              args.seed, config_used, inputs, files)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

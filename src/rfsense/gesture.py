@@ -84,7 +84,7 @@ class SegmentationConfig:
 
 @dataclass(frozen=True)
 class GestureSegment:
-    start_s: float
+    start_s: float        # seconds from the trace's first sample
     end_s: float
     samples: np.ndarray   # preprocessed (filtered, mean-removed) dB series
     trace_id: str = ""
@@ -218,10 +218,11 @@ def segment(trace: RssTrace, cfg: SegmentationConfig = SegmentationConfig()
         hit = np.flatnonzero(v[a: b - w + 2] >= cfg.trim_fraction * p)
         kept.append((a + hit[0], a + hit[-1] + w - 1))
 
+    t, t0 = trace.timestamps, trace.timestamps[0]
     trace_id = trace.metadata.extras.get("trace_id", "")
     return [GestureSegment(
-        start_s=float(trace.timestamps[s0]),
-        end_s=float(trace.timestamps[s1]),
+        start_s=float(t[s0] - t0),
+        end_s=float(t[s1] - t0),
         samples=pre[s0: s1 + 1].copy(),
         trace_id=trace_id,
     ) for s0, s1 in kept]

@@ -91,6 +91,12 @@ class WalkPath:
         _require("finite", math.isfinite, crossing_m=self.crossing_m,
                  start_offset_m=self.start_offset_m)
 
+    @classmethod
+    def centred(cls, crossing_m, angle_deg, speed_mps, duration_s) -> WalkPath:
+        """The walk that meets the link halfway through its duration."""
+        return cls(crossing_m, angle_deg, speed_mps,
+                   -speed_mps * duration_s / 2.0, duration_s)
+
 
 @dataclass(frozen=True)
 class VitalSignsProfile:
@@ -449,9 +455,7 @@ def make_corpora(seed: int) -> Mapping:
     for v in CROSSING_SPEEDS:
         for pos in CROSSING_POSITIONS:
             for ang in CROSSING_ANGLES:
-                path = WalkPath(crossing_m=pos, angle_deg=ang, speed_mps=v,
-                                start_offset_m=-v * CROSSING_DURATION_S / 2.0,
-                                duration_s=CROSSING_DURATION_S)
+                path = WalkPath.centred(pos, ang, v, CROSSING_DURATION_S)
                 noise = NoiseModel(seed=next_seed())
                 specs["crossing"][f"crossing_v{v:.1f}_p{pos:.3f}_a{int(ang)}"] = partial(
                     simulate_crossing, CROSSING_LINK, path, noise)

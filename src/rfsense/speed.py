@@ -156,11 +156,12 @@ def calibrate_alpha(points: list[tuple[float, float]]) -> tuple[float, float]:
 
 def alphas_with(path, link_id: str, alpha: float) -> dict[str, float]:
     """The alphas stored in sidecar `path` ({} when it does not exist), with
-    `link_id` set to `alpha`: what save_alpha then writes."""
-    if "," in link_id or "\n" in link_id:
-        raise ValueError("link_id must not contain commas or newlines")
+    `link_id` set to `alpha`: what save_alpha then writes. A link id with a
+    comma or a line break would not read back as itself: ValueError."""
+    if any(c in link_id for c in ",\n\r"):
+        raise ValueError(f"link_id {link_id!r} must not contain a comma or a line break")
     try:
-        alphas = dict(_read_alpha_lines(path))
+        alphas = _read_alphas(path)
     except FileNotFoundError:
         alphas = {}
     return {**alphas, link_id: alpha}
@@ -175,16 +176,16 @@ def save_alpha(path, alphas: dict[str, float]) -> None:
 
 
 def load_alpha(path, link_id: str) -> float:
-    for key, value in _read_alpha_lines(path):
-        if key == link_id:
-            return value
-    raise KeyError(f"no alpha stored for link {link_id!r}")
+    if (alpha := _read_alphas(path).get(link_id)) is None:
+        raise KeyError(f"no alpha stored for link {link_id!r}")
+    return alpha
 
 
-def _read_alpha_lines(path):
-    """(link_id, alpha) per entry; a malformed line, or an alpha that is not
-    a finite positive number, raises ValueError naming `path:line`; a file
-    that is not UTF-8 text raises ValueError naming `path`."""
+def _read_alphas(path) -> dict[str, float]:
+    """{link_id: alpha} of sidecar `path`. A malformed line, an alpha that
+    is not a finite positive number, or a link id already read raises
+    ValueError naming `path:line`; a file that is not UTF-8 text raises
+    ValueError naming `path`."""
     try:
         with open(path, encoding="utf-8") as fh:
             first, *lines = fh.read().split("\n")
@@ -192,12 +193,15 @@ def _read_alpha_lines(path):
         raise ValueError(f"{path}: not an alpha sidecar: {e}") from None
     if first != ALPHA_SIDECAR_MAGIC:
         raise ValueError(f"{path}:1: not an alpha sidecar: leading line {first!r}")
+    alphas = {}
     for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
         key, _, tail = line.partition(",")
         if not tail.startswith("alpha="):
             raise ValueError(f"{path}:{lineno}: malformed sidecar line {line!r}")
+        if key in alphas:
+            raise ValueError(f"{path}:{lineno}: link {key!r} is stored twice")
         text = tail[len("alpha="):]
         try:
             alpha = float(text)
@@ -206,4 +210,5 @@ def _read_alpha_lines(path):
         if not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"{path}:{lineno}: alpha must be a finite positive "
                              f"number, not {text!r}")
-        yield key, alpha
+        alphas[key] = alpha
+    return alphas

@@ -17,7 +17,9 @@ columns. These five are the only columns allowed after ``t_s,rss_db``, each
 at most once.
 The gesture label, being a string, lives in the header line as
 ``gt_label=<name>``. All floats are written with shortest round-trip repr, so
-``load_trace(save_trace(t)) == t`` exactly and repeated writes are
+a trace read back by load_trace has the timestamps and RSS samples of the
+one save_trace wrote, bit for bit, and equal metadata and ground truth
+(``==`` on TraceMetadata and GroundTruth); repeated writes are
 byte-identical.
 
 The nominal time axis t[i] = i / sample_rate_hz is held once, for the most
@@ -50,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -94,19 +96,12 @@ class GroundTruth:
     end_s: float | None = None
 
     def __eq__(self, other):
+        """Field by field; np.array_equal serves the series, whose `==` is
+        elementwise, and the scalars and label alike."""
         if not isinstance(other, GroundTruth):
             return NotImplemented
-        if (self.hr_bpm is None) != (other.hr_bpm is None):
-            return False
-        if self.hr_bpm is not None and not np.array_equal(self.hr_bpm, other.hr_bpm):
-            return False
-        return (
-            self.speed_mps == other.speed_mps
-            and self.cross_t_s == other.cross_t_s
-            and self.label == other.label
-            and self.start_s == other.start_s
-            and self.end_s == other.end_s
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass

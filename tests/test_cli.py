@@ -1006,6 +1006,33 @@ class TestSpeed:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("action", ["estimate", "calibrate"])
+    def test_repeated_link_id_exits_1_naming_the_line(
+            self, action, crossing_files, link_config, tmp_path, capsys):
+        # once, estimate read the first alpha and calibrate kept the last
+        sidecar = "# rfsense-alpha-v1\ndefault,alpha=0.1\ndefault,alpha=0.2\n"
+        alpha = tmp_path / "alpha.txt"
+        alpha.write_text(sidecar)
+        rc = run(["speed", action, *map(str, crossing_files),
+                  "--config", str(link_config), "--link-id", "hall",
+                  "--alpha-file", str(alpha), "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {alpha}:3: link 'default' is stored twice\n")
+        assert not (tmp_path / "out").exists()
+        assert alpha.read_text() == sidecar
+
+    def test_carriage_return_link_id_is_refused_before_writing(
+            self, crossing_files, link_config, tmp_path, capsys):
+        # once written, "a\rb" read back as two lines and broke the sidecar
+        rc = run(["speed", "calibrate", *map(str, crossing_files),
+                  "--config", str(link_config), "--link-id", "a\rb",
+                  "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: link_id 'a\\rb' must not contain a comma or a line break\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestOversizedDurations:
     """Each of these ended in an OverflowError traceback, or for 1e17 s in

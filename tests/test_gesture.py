@@ -47,7 +47,7 @@ from rfsense.sim import (
     simulate_gesture,
     simulate_vitals,
 )
-from rfsense.trace import make_trace
+from rfsense.trace import RssTrace, make_trace
 
 FS = 449.0
 
@@ -119,6 +119,18 @@ class TestSegmentation:
         tol = TEST_CFG.short_window / FS
         assert abs((sb[0].start_s - sa[0].start_s) - shift_s) <= tol
         assert abs((sb[0].end_s - sa[0].end_s) - shift_s) <= tol
+
+    def test_times_count_from_the_first_sample(self):
+        # once stamped at absolute timestamps, 60 s later than the same
+        # burst in a trace starting at 0 s
+        x = quiet_trace(45.0, seed=2)
+        add_burst(x, 30.0)
+        at_zero = make_trace(x, FS)
+        shifted = RssTrace(at_zero.metadata, at_zero.timestamps + 60.0, x)
+        (a,), (b,) = segment(at_zero, TEST_CFG), segment(shifted, TEST_CFG)
+        assert abs(b.start_s - a.start_s) <= 1e-9
+        assert abs(b.end_s - a.end_s) <= 1e-9
+        assert b.samples.tobytes() == a.samples.tobytes()
 
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError):

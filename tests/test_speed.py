@@ -1,5 +1,7 @@
 """Speed estimation: average frequency, crossing detection, calibration."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,8 +320,22 @@ class TestSerialization:
             load_alpha(path, "nope")
 
     def test_alpha_rejects_bad_link_id(self, tmp_path):
-        with pytest.raises(ValueError):
-            alphas_with(tmp_path / "alpha.txt", "a,b", 1.0)
+        # "\r" once passed, and the sidecar read it back as a line break
+        for link in ("a,b", "a\nb", "a\rb", "a\r"):
+            with pytest.raises(ValueError, match="must not contain"):
+                alphas_with(tmp_path / "alpha.txt", link, 1.0)
+
+    def test_repeated_link_id_is_refused_by_both_readers(self, tmp_path):
+        path = tmp_path / "alpha.txt"
+        path.write_text("# rfsense-alpha-v1\ndefault,alpha=0.1\nhall,alpha=1.5\n"
+                        "default,alpha=0.2\n")
+        message = f"{path}:4: link 'default' is stored twice"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_alpha(path, "default")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_alpha(path, "hall")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            alphas_with(path, "other", 1.0)
 
     def test_alpha_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "alpha.txt"

@@ -176,6 +176,57 @@ def test_duration_uses_nominal_rate():
     assert tr.duration_s == pytest.approx(1.0)
 
 
+def _truth_eq_oracle(a: GroundTruth, b: GroundTruth) -> bool:
+    """GroundTruth.__eq__ as it was written field by field."""
+    if (a.hr_bpm is None) != (b.hr_bpm is None):
+        return False
+    if a.hr_bpm is not None and not np.array_equal(a.hr_bpm, b.hr_bpm):
+        return False
+    return bool(a.speed_mps == b.speed_mps and a.cross_t_s == b.cross_t_s
+                and a.label == b.label and a.start_s == b.start_s
+                and a.end_s == b.end_s)
+
+
+class TestGroundTruthEquality:
+    BASE = dict(hr_bpm=np.array([60.0, 61.5, 62.0]), speed_mps=0.813, cross_t_s=1.25,
+                label="punch", start_s=0.1, end_s=0.2)
+    # values each field takes in turn: its base value, None, another value
+    # and, for numbers, -0.0 and NaN (0.0 == -0.0 but NaN != NaN)
+    VARIANTS = {
+        "hr_bpm": [None, np.array([60.0, 61.5, 62.0]), np.array([60.0, 61.5, 62.5]),
+                   np.array([60.0, 61.5]), np.array([60.0, 61.5, 62.0, 63.0]),
+                   np.array([60.0, np.nan, 62.0]), [60.0, 61.5, 62.0],
+                   np.array([], dtype=np.float64)],
+        "speed_mps": [None, 0.813, 0.0, -0.0, 1.0, np.nan, np.float64(0.813)],
+        "cross_t_s": [None, 1.25, 0.0, -0.0, np.nan],
+        "label": [None, "punch", "kick", ""],
+        "start_s": [None, 0.1, 0.0, -0.0, np.nan],
+        "end_s": [None, 0.2, 0.0, -0.0, np.nan],
+    }
+
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_each_field_against_the_field_by_field_oracle(self, name):
+        for x in self.VARIANTS[name]:
+            for y in self.VARIANTS[name]:
+                for base in (self.BASE, {}):
+                    a = GroundTruth(**{**base, name: x})
+                    b = GroundTruth(**{**base, name: y})
+                    want = _truth_eq_oracle(a, b)
+                    assert bool(a == b) is want and bool(a != b) is not want, (name, x, y)
+
+    def test_two_fields_differing_at_once(self):
+        a = GroundTruth(**self.BASE)
+        for one in self.VARIANTS:
+            for two in self.VARIANTS:
+                b = GroundTruth(**{**self.BASE, one: None, two: None})
+                assert not _truth_eq_oracle(a, b) and a != b, (one, two)
+
+    def test_other_types_are_not_equal(self):
+        assert GroundTruth() != None  # noqa: E711
+        assert GroundTruth() != (None,) * 6
+        assert GroundTruth().__eq__(object()) is NotImplemented
+
+
 class TestRoundTrip:
     def test_simple_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
